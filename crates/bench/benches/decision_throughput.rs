@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use framework::controller::{decide_flows, decide_flows_pairs, decide_path, SequenceLog};
 use framework::optimizer::{select_path, Objective};
 use framework::scheduler::FlowRequest;
-use framework::{HecateService, Metric, PairId};
+use framework::{HecateService, Metric, OptimizerConfig, PairId};
 use std::hint::black_box;
 
 fn bench_decisions(c: &mut Criterion) {
@@ -123,6 +123,7 @@ fn bench_multipair(c: &mut Criterion) {
             &names,
             &model,
             Objective::MaxBandwidth,
+            &OptimizerConfig::default(),
             &mut log,
         )
         .expect("prime the cache");
@@ -156,9 +157,11 @@ fn bench_multipair(c: &mut Criterion) {
                         &names,
                         &model,
                         Objective::MaxBandwidth,
+                        &OptimizerConfig::default(),
                         &mut log,
                     )
                     .unwrap()
+                    .0
                     .len(),
                 )
             })

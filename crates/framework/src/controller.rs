@@ -6,7 +6,7 @@
 //! Service, establishing the path and configuring a policy to route the
 //! flow through it by adjusting the edge routers."
 
-use crate::hecate::{HecateService, PathForecast};
+use crate::hecate::HecateService;
 use crate::optimizer::{
     assign_flows, assign_flows_shared_with, select_path, FlowDemand, Objective, OptimizerConfig,
     SharedLinkModel, SolverKind,
@@ -241,11 +241,16 @@ fn place_batch(caps: &[f64], demands: &[Option<f64>]) -> Result<Vec<usize>, Fram
 ///   (forecast mean, falling back to the last observed sample, floored
 ///   at zero), folds them into the model as synthetic links
 ///   ([`SharedLinkModel::with_tunnel_caps`]), and places the batch with
-///   [`crate::optimizer::assign_flows_shared`] — so no shared link is
+///   [`assign_flows_shared_with`] under `config` — so no shared link is
 ///   oversubscribed.
+///
+/// Returns one decision per request, in request order, plus the solver
+/// that placed the batch (`None` on cold start and for the per-pair
+/// objectives, which never solve jointly).
 ///
 /// Single-pair networks never call this: they keep the legacy
 /// [`decide_flows`] path bit-for-bit.
+#[allow(clippy::too_many_arguments)]
 pub fn decide_flows_pairs(
     hecate: &HecateService,
     telemetry: &TelemetryService,
@@ -253,13 +258,14 @@ pub fn decide_flows_pairs(
     tunnel_names: &[String],
     model: &SharedLinkModel,
     objective: Objective,
+    config: &OptimizerConfig,
     log: &mut SequenceLog,
-) -> Result<Vec<PathDecision>, FrameworkError> {
+) -> Result<(Vec<PathDecision>, Option<SolverKind>), FrameworkError> {
     if tunnel_names.is_empty() || tunnel_names.len() != model.tunnel_links.len() {
         return Err(FrameworkError::NoFeasiblePath);
     }
     if requests.is_empty() {
-        return Ok(Vec::new());
+        return Ok((Vec::new(), None));
     }
     for req in requests {
         if model
@@ -277,38 +283,6 @@ pub fn decide_flows_pairs(
     };
     log.record("askHecatePath");
     let forecasts = hecate.forecast_all(telemetry, tunnel_names, metric);
-    let (decisions, _solver) = pair_decisions_from_forecasts(
-        telemetry,
-        requests,
-        tunnel_names,
-        model,
-        objective,
-        metric,
-        &OptimizerConfig::default(),
-        &forecasts,
-        log,
-    )?;
-    Ok(decisions)
-}
-
-/// The placement tail shared by the sequential and sharded multi-pair
-/// consultations: everything after the forecasts are in hand. Keeping
-/// this single makes the sharded path bit-identical by construction —
-/// the only thing sharding changes is *how* the forecasts were
-/// gathered, and the merge re-establishes the sequential order before
-/// this runs.
-#[allow(clippy::too_many_arguments)]
-fn pair_decisions_from_forecasts(
-    telemetry: &TelemetryService,
-    requests: &[FlowRequest],
-    tunnel_names: &[String],
-    model: &SharedLinkModel,
-    objective: Objective,
-    metric: Metric,
-    config: &OptimizerConfig,
-    forecasts: &[PathForecast],
-    log: &mut SequenceLog,
-) -> Result<(Vec<PathDecision>, Option<SolverKind>), FrameworkError> {
     if forecasts.is_empty() {
         // Cold start: each pair's phase-(i) arbitrary first candidate.
         log.record("fallbackArbitraryPath");
@@ -387,186 +361,6 @@ fn pair_decisions_from_forecasts(
     };
     log.record("optimizerReturn");
     Ok((decisions, solver))
-}
-
-/// Per-shard accounting from one sharded consultation: which shard,
-/// how many pair-scoped candidate series it forecast, and its isolated
-/// busy time. The SDN layer emits one `decide.solve` span per entry,
-/// after the join, in shard order — the same
-/// emission-order-never-depends-on-scheduling idiom as the data
-/// plane's sharded forwarder.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DecisionShardReport {
-    /// Shard index; the shard owns pairs `p` with `p % shards == shard`.
-    pub shard: usize,
-    /// Pair-scoped candidate series this shard forecast.
-    pub series: usize,
-    /// Busy time spent forecasting them (excludes merge and solve).
-    pub busy_ns: u64,
-}
-
-/// What a sharded consultation produced.
-#[derive(Debug, Clone)]
-pub struct ShardedDecision {
-    /// One decision per request, in request order — bit-identical to
-    /// [`decide_flows_pairs`] at any shard count.
-    pub decisions: Vec<PathDecision>,
-    /// Which shared-link solver placed the batch (`None` on cold start
-    /// and for the per-pair objectives, which never solve jointly).
-    pub solver: Option<SolverKind>,
-    /// Per-shard accounting, in shard order.
-    pub shards: Vec<DecisionShardReport>,
-}
-
-/// [`decide_flows_pairs`] with the forecast fan-out partitioned across
-/// `config.decision_shards` worker threads.
-///
-/// Each worker owns stateless clones of the Hecate and telemetry
-/// service handles (both are `Arc`-backed, so "clone" is a pointer
-/// copy) and forecasts the candidate series of the pairs it owns
-/// (`pair % shards`) — disjoint series sets, so the per-series model
-/// cache gives every worker exactly the forecasts the sequential pass
-/// would have computed. Results come back over a crossbeam channel,
-/// are re-ordered into the global candidate order, and the placement
-/// tail is the *same code* the sequential path runs: the decisions are
-/// bit-identical to [`decide_flows_pairs`] at any shard count
-/// (pinned by `sharded_decisions.rs`).
-///
-/// `config.decision_shards <= 1` skips the thread machinery entirely.
-#[allow(clippy::too_many_arguments)]
-pub fn decide_flows_pairs_sharded(
-    hecate: &HecateService,
-    telemetry: &TelemetryService,
-    requests: &[FlowRequest],
-    tunnel_names: &[String],
-    model: &SharedLinkModel,
-    objective: Objective,
-    config: &OptimizerConfig,
-    log: &mut SequenceLog,
-) -> Result<ShardedDecision, FrameworkError> {
-    if tunnel_names.is_empty() || tunnel_names.len() != model.tunnel_links.len() {
-        return Err(FrameworkError::NoFeasiblePath);
-    }
-    if requests.is_empty() {
-        return Ok(ShardedDecision {
-            decisions: Vec::new(),
-            solver: None,
-            shards: Vec::new(),
-        });
-    }
-    for req in requests {
-        if model
-            .candidates
-            .get(req.pair.index())
-            .is_none_or(|c| c.is_empty())
-        {
-            return Err(FrameworkError::NoFeasiblePath);
-        }
-    }
-    let shards = config
-        .decision_shards
-        .max(1)
-        .min(model.candidates.len().max(1));
-    log.record("getTelemetry");
-    let metric = match objective {
-        Objective::MinLatency => Metric::Rtt,
-        _ => Metric::AvailableBandwidth,
-    };
-    log.record("askHecatePath");
-    // Tunnel → owning pair, derived from the model rather than assuming
-    // a pair-major layout of `tunnel_names`.
-    let mut owner = vec![0usize; tunnel_names.len()];
-    for (p, cand) in model.candidates.iter().enumerate() {
-        for &t in cand {
-            if let Some(o) = owner.get_mut(t) {
-                *o = p;
-            }
-        }
-    }
-    let (forecasts, reports) = if shards == 1 {
-        // detlint: allow(wall-clock) — shard busy time is the reported
-        // quantity (span stamps), never fed back into a decision.
-        #[allow(clippy::disallowed_methods)]
-        let t0 = std::time::Instant::now();
-        let forecasts = hecate.forecast_all(telemetry, tunnel_names, metric);
-        let report = DecisionShardReport {
-            shard: 0,
-            series: tunnel_names.len(),
-            busy_ns: t0.elapsed().as_nanos() as u64,
-        };
-        (forecasts, vec![report])
-    } else {
-        let (tx, rx) = crossbeam::channel::bounded(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let names: Vec<String> = (0..tunnel_names.len())
-                .filter(|&t| owner[t] % shards == s)
-                .map(|t| tunnel_names[t].clone())
-                .collect();
-            let worker_hecate = hecate.clone();
-            let worker_telemetry = telemetry.clone();
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || {
-                // detlint: allow(wall-clock) — per-shard busy time is
-                // the reported quantity (span stamps), never fed back
-                // into a decision.
-                #[allow(clippy::disallowed_methods)]
-                let t0 = std::time::Instant::now();
-                let forecasts = worker_hecate.forecast_all(&worker_telemetry, &names, metric);
-                let busy_ns = t0.elapsed().as_nanos() as u64;
-                let _ = tx.send((s, names.len(), forecasts, busy_ns));
-            }));
-        }
-        drop(tx);
-        let mut parts: Vec<(usize, usize, Vec<PathForecast>, u64)> = rx.iter().collect();
-        for h in handles {
-            // detlint: allow(bare-panic) — a panicked worker's
-            // forecasts are gone; propagating the panic is the only
-            // honest outcome.
-            h.join().expect("decision shard worker panicked");
-        }
-        parts.sort_by_key(|&(s, ..)| s);
-        // Merge back into the global candidate order — the order the
-        // sequential fan-out returns — so the placement tail sees an
-        // input independent of worker scheduling.
-        let index: std::collections::BTreeMap<&str, usize> = tunnel_names
-            .iter()
-            .enumerate()
-            .map(|(t, n)| (n.as_str(), t))
-            .collect();
-        let mut merged: Vec<(usize, PathForecast)> = Vec::new();
-        let mut reports = Vec::with_capacity(shards);
-        for (shard, series, forecasts, busy_ns) in parts {
-            reports.push(DecisionShardReport {
-                shard,
-                series,
-                busy_ns,
-            });
-            for f in forecasts {
-                if let Some(&t) = index.get(f.path.as_str()) {
-                    merged.push((t, f));
-                }
-            }
-        }
-        merged.sort_by_key(|&(t, _)| t);
-        (merged.into_iter().map(|(_, f)| f).collect(), reports)
-    };
-    let (decisions, solver) = pair_decisions_from_forecasts(
-        telemetry,
-        requests,
-        tunnel_names,
-        model,
-        objective,
-        metric,
-        config,
-        &forecasts,
-        log,
-    )?;
-    Ok(ShardedDecision {
-        decisions,
-        solver,
-        shards: reports,
-    })
 }
 
 #[cfg(test)]
@@ -843,13 +637,14 @@ mod tests {
         );
         let h = HecateService::new();
         let mut log = SequenceLog::default();
-        let decisions = decide_flows_pairs(
+        let (decisions, _) = decide_flows_pairs(
             &h,
             &ts,
             &pair_reqs(&[0, 1]),
             &names,
             &model,
             Objective::MaxBandwidth,
+            &OptimizerConfig::default(),
             &mut log,
         )
         .unwrap();
@@ -868,13 +663,14 @@ mod tests {
         let (model, names) = pair_model();
         let ts = TelemetryService::new(10);
         let mut log = SequenceLog::default();
-        let decisions = decide_flows_pairs(
+        let (decisions, _) = decide_flows_pairs(
             &HecateService::new(),
             &ts,
             &pair_reqs(&[0, 1, 1]),
             &names,
             &model,
             Objective::MaxBandwidth,
+            &OptimizerConfig::default(),
             &mut log,
         )
         .unwrap();
@@ -900,13 +696,14 @@ mod tests {
             Metric::Rtt,
         );
         let mut log = SequenceLog::default();
-        let decisions = decide_flows_pairs(
+        let (decisions, _) = decide_flows_pairs(
             &HecateService::new(),
             &ts,
             &pair_reqs(&[0, 1]),
             &names,
             &model,
             Objective::MinLatency,
+            &OptimizerConfig::default(),
             &mut log,
         )
         .unwrap();
@@ -926,6 +723,7 @@ mod tests {
             &names,
             &model,
             Objective::MaxBandwidth,
+            &OptimizerConfig::default(),
             &mut log,
         )
         .is_err());

@@ -328,9 +328,9 @@ impl HecateService {
             values,
         };
         // Hit/update path: lock only this series' entry (the map read
-        // lock is dropped immediately), so forecasts for different
-        // paths proceed fully in parallel. A hit clones the memoized
-        // roll — `horizon` floats, no model inference. Fewer than
+        // lock is dropped immediately), so callers sharing the cache
+        // through clones never block on other paths. A hit clones the
+        // memoized roll — `horizon` floats, no model inference. Fewer than
         // `refit_after` new samples slide into the lag window and
         // re-memoize the roll, no refit. The series total and the
         // sample values come from ONE consistent telemetry read
@@ -399,7 +399,7 @@ impl HecateService {
             }
         }
         // Refit path: fit outside any lock (fits are the expensive part
-        // and must not serialize a parallel fan-out over many paths),
+        // and must not stall other callers sharing the cache),
         // then publish. Concurrent misses on the same key may fit twice;
         // both fits are deterministic, so last-write-wins is harmless.
         let entry = self.fit_entry(telemetry, &key)?;
@@ -438,90 +438,36 @@ impl HecateService {
         })
     }
 
-    /// Serves a memoized cache hit for `key` — model saw every sample,
-    /// same horizon — without touching the model or any history;
-    /// `None` on anything that needs the full hit/update/refit
-    /// protocol. Does not touch the stats counters: the caller
-    /// attributes hits (a partial probe that falls back to
-    /// [`HecateService::forecast_path`] must not count paths twice).
-    fn try_hit(&self, telemetry: &TelemetryService, key: &SeriesKey) -> Option<Vec<f64>> {
-        let cell = self.cache.entries.read().get(key).cloned()?;
-        let e = cell.lock();
-        if self.entry_usable(&e)
-            && e.rolled_horizon == self.horizon
-            && e.observed == telemetry.total(key)
-        {
-            Some(e.rolled.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Forecasts every candidate path; paths with insufficient history
-    /// are skipped (they cannot be recommended yet). Results come back
-    /// in candidate order.
-    ///
-    /// Steady state (every path a memoized cache hit) is served
-    /// sequentially — the work per path is a map lookup and a
-    /// ten-float clone, which thread spawns would dominate. As soon as
-    /// any path needs the update/refit protocol, the whole candidate
-    /// set fans out over scoped workers so model fits run in parallel.
+    /// Forecasts every candidate path in one sequential pass, each
+    /// through the [`HecateService::forecast_path`] protocol; paths
+    /// with insufficient history are skipped (they cannot be
+    /// recommended yet). Results come back in candidate order, and
+    /// tracing changes nothing but the `ml.fit`/`ml.roll` spans
+    /// emitted along the way.
     pub fn forecast_all(
         &self,
         telemetry: &TelemetryService,
         paths: &[String],
         metric: Metric,
     ) -> Vec<PathForecast> {
-        let hits: Option<Vec<PathForecast>> = paths
+        paths
             .iter()
-            .map(|p| {
-                self.try_hit(telemetry, &SeriesKey::new(p, metric))
-                    .map(|values| PathForecast {
-                        path: p.clone(),
-                        values,
-                    })
-            })
-            .collect();
-        if let Some(forecasts) = hits {
-            self.cache.hits.add(paths.len() as u64);
-            if self.cache.scoped_on.load(Ordering::Relaxed) {
-                for p in paths {
-                    self.cache.bump_scoped(p, |sc| &sc.hits);
-                }
-            }
-            return forecasts;
-        }
-        // A traced run fans out sequentially: `ml.fit`/`ml.roll` span
-        // emission order must be deterministic, and worker
-        // interleaving is not. Results are bitwise identical either
-        // way — forecasts are independent and `par_map` preserves
-        // candidate order — so only the trace artifact cares.
-        if self.cache.trace_on.load(Ordering::Relaxed) {
-            return paths
-                .iter()
-                .filter_map(|p| self.forecast_path(telemetry, p, metric).ok())
-                .collect();
-        }
-        linalg::par::par_map(paths, |p| self.forecast_path(telemetry, p, metric).ok())
-            .into_iter()
-            .flatten()
+            .filter_map(|p| self.forecast_path(telemetry, p, metric).ok())
             .collect()
     }
 
     /// Refit-every-time variant of [`HecateService::forecast_all`] (the
-    /// cold baseline), with the same parallel fan-out.
+    /// cold baseline).
     pub fn forecast_all_uncached(
         &self,
         telemetry: &TelemetryService,
         paths: &[String],
         metric: Metric,
     ) -> Vec<PathForecast> {
-        linalg::par::par_map(paths, |p| {
-            self.forecast_path_uncached(telemetry, p, metric).ok()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        paths
+            .iter()
+            .filter_map(|p| self.forecast_path_uncached(telemetry, p, metric).ok())
+            .collect()
     }
 
     /// Behavior counters plus the live entry count (a snapshot; the

@@ -6,9 +6,7 @@
 //! [`SelfDrivingNetwork::run_flow_aggregation`] (Fig 12) and
 //! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
 
-use crate::controller::{
-    decide_flows, decide_flows_pairs_sharded, decide_path, PathDecision, SequenceLog,
-};
+use crate::controller::{decide_flows, decide_flows_pairs, decide_path, PathDecision, SequenceLog};
 use crate::hecate::HecateService;
 use crate::optimizer::{
     assign_flows, assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig,
@@ -99,8 +97,8 @@ pub struct SelfDrivingNetwork {
     /// spans carry decision-time stamps (the ML pipeline has no clock
     /// of its own); refreshed at every decision entry point.
     pub(crate) ml_clock: obsv::SimClock,
-    /// Optimizer knobs: exhaustive-vs-greedy cutoff, incremental vs
-    /// full-recompute water-fill, decision sharding. Set via
+    /// Optimizer knobs: exhaustive-vs-greedy cutoff and incremental vs
+    /// full-recompute water-fill. Set via
     /// [`SelfDrivingNetwork::set_optimizer_config`].
     pub(crate) opt: OptimizerConfig,
     /// The standing incremental water-fill engine
@@ -495,16 +493,15 @@ impl SelfDrivingNetwork {
     }
 
     /// Admits a whole batch of flows with one amortized consultation:
-    /// the per-path forecasts are computed once — in parallel, against
-    /// the trained-model cache — and shared by every flow due in the
+    /// the per-path forecasts are computed once — against the
+    /// trained-model cache — and shared by every flow due in the
     /// tick. Returns one decision per request, in request order. A
     /// batch of one behaves exactly like
     /// [`SelfDrivingNetwork::admit_flow`].
     ///
     /// A single-pair network decides via [`decide_flows`] (the legacy
     /// bottleneck-per-tunnel engine, bit-for-bit unchanged); a
-    /// multi-pair network decides via [`decide_flows_pairs_sharded`]
-    /// (one shard unless configured otherwise) against
+    /// multi-pair network decides via [`decide_flows_pairs`] against
     /// the shared-link capacity model, so a batch spanning pairs never
     /// oversubscribes a link two candidate tunnels have in common.
     pub fn admit_flows(
@@ -535,7 +532,7 @@ impl SelfDrivingNetwork {
             .obsv
             .tracer
             .span("decide", "decide.consult", self.sim.now_ns());
-        let mut sharded = None;
+        let mut solved = None;
         let decisions = if self.pairs.len() == 1 {
             let candidates = self.tunnel_names();
             decide_flows(
@@ -551,7 +548,7 @@ impl SelfDrivingNetwork {
             // New flows are placed on top of the running assignment:
             // headroom is what the current flows leave behind.
             let model = self.link_model(false);
-            let out = decide_flows_pairs_sharded(
+            let (decisions, solver) = decide_flows_pairs(
                 &self.hecate,
                 &self.telemetry,
                 reqs,
@@ -561,8 +558,8 @@ impl SelfDrivingNetwork {
                 &self.opt,
                 &mut self.log,
             )?;
-            sharded = Some((out.solver, out.shards));
-            out.decisions
+            solved = Some((solver, names.len() as u64));
+            decisions
         };
         let now_ns = self.sim.now_ns();
         if tracing {
@@ -584,31 +581,18 @@ impl SelfDrivingNetwork {
         } else {
             consult.end(now_ns, Vec::new);
         }
-        if tracing {
-            if let Some((solver, shards)) = &sharded {
-                // One decide.solve span per decision shard, emitted
-                // after the join in shard order — the record stream
-                // never depends on worker interleaving. Stamps are pure
-                // sim time (zero width): traces are part of the
-                // bit-replay contract, so the workers' wall-derived
-                // busy time never reaches a record — it stays on
-                // [`ShardedDecision`] for the bench harness.
-                let solver = *solver;
-                for r in shards {
-                    let span = self.obsv.tracer.span("decide", "decide.solve", now_ns);
-                    let (shard, series) = (r.shard as u64, r.series as u64);
-                    span.end(now_ns, move || {
-                        let mut args = vec![
-                            ("shard", obsv::Value::U64(shard)),
-                            ("series", obsv::Value::U64(series)),
-                        ];
-                        if let Some(kind) = solver {
-                            args.push(("solver", obsv::Value::Str(kind.label().to_string())));
-                        }
-                        args
-                    });
+        if let Some((solver, series)) = solved {
+            // One decide.solve span per multi-pair consultation, zero
+            // width in sim time: the solver that placed the batch and
+            // how many pair-scoped series were forecast.
+            let span = self.obsv.tracer.span("decide", "decide.solve", now_ns);
+            span.end(now_ns, move || {
+                let mut args = vec![("series", obsv::Value::U64(series))];
+                if let Some(kind) = solver {
+                    args.push(("solver", obsv::Value::Str(kind.label().to_string())));
                 }
-            }
+                args
+            });
         }
         let place = self.obsv.tracer.span("decide", "decide.place", now_ns);
         for (req, decision) in reqs.iter().zip(&decisions) {
@@ -849,8 +833,8 @@ impl SelfDrivingNetwork {
         Ok(moves)
     }
 
-    /// The optimizer configuration in force (solver cutoff, solve
-    /// mode, decision shards).
+    /// The optimizer configuration in force (solver cutoff and solve
+    /// mode).
     pub fn optimizer_config(&self) -> &OptimizerConfig {
         &self.opt
     }

@@ -325,10 +325,10 @@ mod tests {
     #[test]
     fn concurrent_writers_do_not_lose_counts() {
         let ts = TelemetryService::new(100_000);
-        let handles: Vec<_> = (0..8)
-            .map(|w| {
+        std::thread::scope(|s| {
+            for w in 0..8u64 {
                 let ts = ts.clone();
-                std::thread::spawn(move || {
+                s.spawn(move || {
                     for i in 0..1000u64 {
                         ts.insert(
                             &SeriesKey::new("shared", Metric::FlowRate),
@@ -336,12 +336,9 @@ mod tests {
                             1.0,
                         );
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         assert_eq!(ts.len(&SeriesKey::new("shared", Metric::FlowRate)), 8000);
     }
 

@@ -56,20 +56,9 @@
 //! they touch (arrival, growth, reroute — not just release), so the
 //! common squeeze converges in one restricted solve instead of paying
 //! a full expansion iteration to discover those peers.
-//!
-//! # Sharding
-//!
-//! [`StripedResidual`] publishes per-link residual headroom behind
-//! striped reader-writer locks for the sharded controller tick:
-//! worker threads take concurrent *read* snapshots while partitioned
-//! per-pair work runs, and every write happens sequentially in fixed
-//! link order at the merge barrier — so the data each shard reads is
-//! the previous tick's state regardless of shard count or OS
-//! scheduling, and results stay bit-identical to the sequential path.
 
 use crate::optimizer::SharedLinkModel;
 use netsim::{WaterfillMetrics, WaterfillStats};
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Slack margin for the *fast-path gates only* (never for rates): a
@@ -417,12 +406,6 @@ impl SharedWaterfill {
             .into_iter()
             .zip(self.full_rates())
             .all(|((ia, ra), (ib, rb))| ia == ib && ra.to_bits() == rb.to_bits())
-    }
-
-    /// Per-link residual headroom (`headroom − Σ member rates`), for
-    /// publishing into a [`StripedResidual`].
-    pub fn residuals(&mut self) -> Vec<f64> {
-        (0..self.headroom.len()).map(|l| self.residual(l)).collect()
     }
 
     /// Audit counters (a snapshot; the live instruments are
@@ -789,70 +772,6 @@ impl SharedWaterfill {
     }
 }
 
-/// Shared-link residual state for the sharded controller tick, behind
-/// striped reader-writer locks: link `l` lives in stripe `l % stripes`.
-///
-/// The determinism contract: worker threads only ever *read* during a
-/// tick's partitioned phase (concurrent, lock-free in the common
-/// uncontended case); all writes happen at the merge barrier,
-/// sequentially, in ascending link order. Every shard therefore sees
-/// the previous tick's state no matter how many shards run or how the
-/// OS schedules them — the reason sharded results are bit-identical to
-/// the sequential path.
-#[derive(Debug)]
-pub struct StripedResidual {
-    stripes: Vec<RwLock<Vec<f64>>>,
-    links: usize,
-}
-
-impl StripedResidual {
-    /// `links` residual slots across `stripes` locks (at least one).
-    pub fn new(links: usize, stripes: usize) -> Self {
-        let stripes = stripes.max(1);
-        let mut slots = vec![Vec::new(); stripes];
-        for l in 0..links {
-            slots[l % stripes].push(0.0);
-        }
-        StripedResidual {
-            stripes: slots.into_iter().map(RwLock::new).collect(),
-            links,
-        }
-    }
-
-    /// Number of link slots.
-    pub fn len(&self) -> usize {
-        self.links
-    }
-
-    /// `true` when there are no link slots.
-    pub fn is_empty(&self) -> bool {
-        self.links == 0
-    }
-
-    /// Reads one link's residual (shared lock).
-    pub fn get(&self, link: usize) -> f64 {
-        let s = link % self.stripes.len();
-        self.stripes[s].read()[link / self.stripes.len()]
-    }
-
-    /// Writes one link's residual (exclusive lock). Merge-phase only.
-    pub fn set(&self, link: usize, residual: f64) {
-        let s = link % self.stripes.len();
-        self.stripes[s].write()[link / self.stripes.len()] = residual;
-    }
-
-    /// Publishes a full residual vector, in ascending link order.
-    ///
-    /// # Panics
-    /// Panics when `residuals` is not one value per link (wiring bug).
-    pub fn publish(&self, residuals: &[f64]) {
-        assert_eq!(residuals.len(), self.links, "one residual per link");
-        for (l, r) in residuals.iter().enumerate() {
-            self.set(l, *r);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,18 +909,5 @@ mod tests {
         assert_eq!(wf.tunnel_of(3), Some(1));
         assert_eq!(wf.flow_count(), 2);
         assert!(wf.audit());
-    }
-
-    #[test]
-    fn striped_residual_round_trips() {
-        let sr = StripedResidual::new(9, 4);
-        assert_eq!(sr.len(), 9);
-        let vals: Vec<f64> = (0..9).map(|l| l as f64 * 1.5).collect();
-        sr.publish(&vals);
-        for (l, v) in vals.iter().enumerate() {
-            assert_eq!(sr.get(l), *v);
-        }
-        sr.set(7, 42.0);
-        assert_eq!(sr.get(7), 42.0);
     }
 }

@@ -3,11 +3,14 @@
 //! telemetry, per-pair candidate sets, and the shared-link optimizer's
 //! no-oversubscription invariant — on both planes.
 
+use framework::controller::{decide_flows_pairs, SequenceLog};
 use framework::dataloop::DataplaneConfig;
-use framework::optimizer::{assign_flows_shared, FlowDemand, Objective};
+use framework::optimizer::{
+    assign_flows_shared, FlowDemand, Objective, SharedLinkModel, SolverKind,
+};
 use framework::scheduler::FlowRequest;
 use framework::telemetry::{Metric, SeriesKey};
-use framework::{PairId, SelfDrivingNetwork};
+use framework::{HecateService, OptimizerConfig, PairId, SelfDrivingNetwork, TelemetryService};
 
 fn two_pair_mesh() -> SelfDrivingNetwork {
     // Ring of 12 with chords: plenty of disjoint paths for both pairs.
@@ -285,4 +288,171 @@ fn single_pair_keeps_legacy_names_through_the_pairs_constructor() {
     let sdn = SelfDrivingNetwork::over_topology_pairs(topo, &[("n0", "n6")], 3, 1).unwrap();
     assert_eq!(sdn.tunnel_names(), vec!["tunnel1", "tunnel2", "tunnel3"]);
     assert_eq!(sdn.pair_scope(PairId(0)), Some(""));
+}
+
+/// Deterministic xorshift for the synthetic decision models below.
+struct Rng(u64);
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+    fn level(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (self.below(10_000) as f64 / 10_000.0) * (hi - lo)
+    }
+}
+
+/// `pairs` pairs, two tunnels each: a private access link per tunnel
+/// plus a trunk shared by groups of three pairs.
+fn synthetic_pair_model(pairs: usize, rng: &mut Rng) -> (SharedLinkModel, Vec<String>) {
+    let trunks = pairs.div_ceil(3);
+    let mut headroom: Vec<f64> = (0..trunks).map(|_| rng.level(8.0, 40.0)).collect();
+    let mut tunnel_links = Vec::new();
+    let mut candidates = Vec::new();
+    let mut names = Vec::new();
+    for p in 0..pairs {
+        let mut cand = Vec::new();
+        for t in 0..2usize {
+            let access = headroom.len();
+            headroom.push(rng.level(4.0, 25.0));
+            cand.push(tunnel_links.len());
+            tunnel_links.push(vec![(p / 3 + t) % trunks, access]);
+            names.push(format!("p{p}/tunnel{t}"));
+        }
+        candidates.push(cand);
+    }
+    (
+        SharedLinkModel::new(headroom, tunnel_links, candidates),
+        names,
+    )
+}
+
+/// Warm available-bandwidth telemetry for a random subset of the
+/// series; the rest stay cold.
+fn synthetic_store(names: &[String], rng: &mut Rng) -> TelemetryService {
+    let ts = TelemetryService::new(1000);
+    for name in names {
+        if rng.below(5) == 0 {
+            continue;
+        }
+        let level = rng.level(3.0, 30.0);
+        for t in 0..40u64 {
+            ts.insert(
+                &SeriesKey::new(name, Metric::AvailableBandwidth),
+                t * 1000,
+                level + (t as f64 / 7.0).sin() * 0.5,
+            );
+        }
+    }
+    ts
+}
+
+fn synthetic_requests(pairs: usize, n: usize, rng: &mut Rng) -> Vec<FlowRequest> {
+    (0..n)
+        .map(|i| FlowRequest {
+            label: format!("f{i}"),
+            tos: 32,
+            demand_mbps: match rng.below(3) {
+                0 => None,
+                _ => Some(rng.level(0.5, 10.0)),
+            },
+            start_ms: 0,
+            pair: PairId(rng.below(pairs as u64) as usize),
+        })
+        .collect()
+}
+
+#[test]
+fn cold_start_sends_each_flow_to_its_pairs_first_candidate() {
+    let mut rng = Rng(99);
+    let (model, names) = synthetic_pair_model(5, &mut rng);
+    let ts = TelemetryService::new(10);
+    let reqs = synthetic_requests(5, 7, &mut rng);
+    let mut log = SequenceLog::default();
+    let (decisions, solver) = decide_flows_pairs(
+        &HecateService::new(),
+        &ts,
+        &reqs,
+        &names,
+        &model,
+        Objective::MaxBandwidth,
+        &OptimizerConfig::default(),
+        &mut log,
+    )
+    .unwrap();
+    assert_eq!(decisions.len(), reqs.len());
+    for (req, d) in reqs.iter().zip(&decisions) {
+        let first = &names[model.candidates[req.pair.index()][0]];
+        assert_eq!(&d.tunnel, first, "{req:?}");
+        assert!(!d.used_forecast);
+        assert_eq!(d.score, None);
+    }
+    assert_eq!(solver, None, "cold start never reaches the solver");
+    assert!(log.steps().contains(&"fallbackArbitraryPath".to_string()));
+}
+
+#[test]
+fn solver_kind_reports_the_configured_cutoff() {
+    let mut rng = Rng(7);
+    let (model, names) = synthetic_pair_model(4, &mut rng);
+    let ts = synthetic_store(&names, &mut Rng(3));
+    let reqs = synthetic_requests(4, 5, &mut rng);
+    let hecate = HecateService::new();
+    let solve = |config: &OptimizerConfig| {
+        decide_flows_pairs(
+            &hecate,
+            &ts,
+            &reqs,
+            &names,
+            &model,
+            Objective::MaxBandwidth,
+            config,
+            &mut SequenceLog::default(),
+        )
+        .unwrap()
+        .1
+    };
+    // Default cutoff: 2^5 assignments fit the exhaustive search.
+    assert_eq!(
+        solve(&OptimizerConfig::default()),
+        Some(SolverKind::Exhaustive)
+    );
+    // Cutoff forced to zero: the same batch goes greedy.
+    let greedy = OptimizerConfig {
+        exhaustive_bound: 0,
+        ..OptimizerConfig::default()
+    };
+    assert_eq!(solve(&greedy), Some(SolverKind::Greedy));
+}
+
+#[test]
+fn multi_pair_admission_emits_one_solve_span_with_the_solver() {
+    let mut sdn = two_pair_mesh();
+    let sink = obsv::RecordingSink::shared();
+    sdn.set_obsv(obsv::Obsv::to(sink.clone()));
+    sdn.advance(30_000).unwrap();
+    sdn.admit_flows(
+        &[req("a", 0, None), req("b", 1, Some(3.0)), req("c", 1, None)],
+        Objective::MaxBandwidth,
+    )
+    .unwrap();
+    let solves: Vec<_> = sink
+        .snapshot()
+        .into_iter()
+        .filter(|r| r.name == "decide.solve" && r.kind == obsv::RecordKind::End)
+        .collect();
+    assert_eq!(solves.len(), 1, "{solves:?}");
+    assert!(
+        solves[0]
+            .args
+            .iter()
+            .any(|(k, v)| *k == "solver" && matches!(v, obsv::Value::Str(_))),
+        "{:?}",
+        solves[0].args
+    );
 }
