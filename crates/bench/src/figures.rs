@@ -164,8 +164,12 @@ pub fn throughput_testbed(paths: usize) -> (framework::TelemetryService, Vec<Str
     let chi = sdn.sim.topo.node("CHI").expect("CHI");
     let mia_sao = sdn.sim.topo.link_between(mia, sao).expect("link");
     let mia_chi = sdn.sim.topo.link_between(mia, chi).expect("link");
-    sdn.sim.schedule_capacity_trace(mia_sao, 0, 1000, &d.wifi);
-    sdn.sim.schedule_capacity_trace(mia_chi, 0, 1000, &d.lte);
+    sdn.sim
+        .schedule_capacity_trace(mia_sao, 0, 1000, &d.wifi)
+        .expect("trace");
+    sdn.sim
+        .schedule_capacity_trace(mia_chi, 0, 1000, &d.lte)
+        .expect("trace");
     sdn.advance(75_000).expect("telemetry warm-up");
     let mut names = sdn.tunnel_names();
     names.truncate(paths);
@@ -698,8 +702,8 @@ pub struct TickLatencyReport {
     pub audited: bool,
 }
 
-/// The million-flow control-plane tick (the perf tentpole's headline
-/// artifact): a standing [`framework::SharedWaterfill`] over
+/// The million-flow control-plane tick: a standing
+/// [`netsim::Waterfill`] over
 /// [`tick_model`]`(pairs)` seeded with two greedy elephants per pair
 /// plus demand-limited mice up to `flows` total, then driven through
 /// `ticks` scheduler ticks of `events_per_tick` mixed flow events
@@ -715,31 +719,32 @@ pub fn million_flow_tick(
     events_per_tick: usize,
     seed: u64,
 ) -> TickLatencyReport {
-    use framework::SharedWaterfill;
     let model = tick_model(pairs);
+    let tunnel = |t: usize| model.tunnel_links[t].as_slice();
     let links = model.headroom.len();
     let t0 = std::time::Instant::now();
-    let mut wf = SharedWaterfill::new(&model);
+    let mut wf = netsim::Waterfill::new(model.headroom.clone());
     let mut next_id: u64 = 0;
     // Two greedy elephants per pair, one per candidate tunnel: every
     // access link stays saturated, so mouse churn genuinely patches a
     // contended max-min solution instead of coasting on slack.
     for p in 0..pairs {
-        wf.insert(next_id, 2 * p, None);
-        wf.insert(next_id + 1, 2 * p + 1, None);
+        wf.insert(next_id, tunnel(2 * p), None);
+        wf.insert(next_id + 1, tunnel(2 * p + 1), None);
         next_id += 2;
     }
     // Mice fill pair-major: one pair's flows get contiguous ids and
     // therefore contiguous arena slots, the locality a per-site flow
     // table would have in a real controller.
     let mice_per_pair = (flows - 2 * pairs).div_ceil(pairs);
-    let mut mice: Vec<u64> = Vec::with_capacity(flows);
+    // (id, tunnel) of every standing mouse.
+    let mut mice: Vec<(u64, usize)> = Vec::with_capacity(flows);
     while (next_id as usize) < flows {
         let m = next_id as usize - 2 * pairs;
         let p = (m / mice_per_pair).min(pairs - 1);
-        let tunnel = 2 * p + (m & 1);
-        wf.insert(next_id, tunnel, Some(TICK_MOUSE_MBPS));
-        mice.push(next_id);
+        let t = 2 * p + (m & 1);
+        wf.insert(next_id, tunnel(t), Some(TICK_MOUSE_MBPS));
+        mice.push((next_id, t));
         next_id += 1;
     }
     wf.resolve();
@@ -755,27 +760,28 @@ pub fn million_flow_tick(
                 0 => {
                     // Arrival: a new mouse on a random candidate tunnel.
                     let p = rng.below(pairs as u64) as usize;
-                    let tunnel = 2 * p + rng.below(2) as usize;
-                    wf.insert(next_id, tunnel, Some(TICK_MOUSE_MBPS));
-                    mice.push(next_id);
+                    let t = 2 * p + rng.below(2) as usize;
+                    wf.insert(next_id, tunnel(t), Some(TICK_MOUSE_MBPS));
+                    mice.push((next_id, t));
                     next_id += 1;
                 }
                 1 if !mice.is_empty() => {
                     // Departure of a random standing mouse.
                     let idx = rng.below(mice.len() as u64) as usize;
-                    wf.remove(mice.swap_remove(idx));
+                    wf.remove(mice.swap_remove(idx).0);
                 }
                 2 if !mice.is_empty() => {
                     // Time-varying demand: ramp a mouse to 0.02..0.10.
-                    let id = mice[rng.below(mice.len() as u64) as usize];
+                    let (id, _) = mice[rng.below(mice.len() as u64) as usize];
                     let demand = 0.02 + 0.01 * rng.below(9) as f64;
                     wf.set_demand(id, Some(demand));
                 }
                 _ if !mice.is_empty() => {
                     // Reroute onto the pair's sibling tunnel (2p <-> 2p+1).
-                    let id = mice[rng.below(mice.len() as u64) as usize];
-                    let tunnel = wf.tunnel_of(id).expect("standing mouse");
-                    wf.set_tunnel(id, tunnel ^ 1);
+                    let idx = rng.below(mice.len() as u64) as usize;
+                    let mouse = &mut mice[idx];
+                    mouse.1 ^= 1;
+                    wf.set_links(mouse.0, tunnel(mouse.1));
                 }
                 _ => {}
             }

@@ -84,7 +84,7 @@ const CRITICAL_CRATES: &[&str] = &[
 const BARE_PANIC_FILES: &[&str] = &[
     "crates/netsim/src/sim.rs",
     "crates/framework/src/controller.rs",
-    "crates/framework/src/waterfill.rs",
+    "crates/netsim/src/waterfill.rs",
     "crates/dataplane/src/plane.rs",
     "crates/dataplane/src/shard.rs",
     "crates/dataplane/src/netem.rs",

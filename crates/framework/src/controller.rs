@@ -186,7 +186,10 @@ pub fn decide_flows(
 /// Places a batch of flows on tunnels with predicted capacities `caps`:
 /// the exhaustive optimum when the search space is small, an online
 /// greedy water-fill otherwise.
-fn place_batch(caps: &[f64], demands: &[Option<f64>]) -> Result<Vec<usize>, FrameworkError> {
+pub(crate) fn place_batch(
+    caps: &[f64],
+    demands: &[Option<f64>],
+) -> Result<Vec<usize>, FrameworkError> {
     let k = caps.len() as u64;
     let exhaustive_fits = k
         .checked_pow(demands.len().min(u32::MAX as usize) as u32)

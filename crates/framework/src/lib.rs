@@ -33,14 +33,12 @@ pub mod policies;
 pub mod scheduler;
 pub mod sdn;
 pub mod telemetry;
-pub mod waterfill;
 
 pub use hecate::HecateService;
-pub use optimizer::{Objective, OptimizerConfig, SolveMode};
+pub use optimizer::{Objective, OptimizerConfig};
 pub use scheduler::{FlowRequest, Scheduler};
 pub use sdn::SelfDrivingNetwork;
 pub use telemetry::{Metric, TelemetryService};
-pub use waterfill::SharedWaterfill;
 
 /// Index of a **managed ingress/egress pair** — the unit the multi-pair
 /// control plane keys everything on: candidate tunnel sets, telemetry

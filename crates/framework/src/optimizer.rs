@@ -88,12 +88,15 @@ pub fn assign_flows(
     if k == 0 || n == 0 {
         return Err(FrameworkError::NoFeasiblePath);
     }
-    // Exhaustive for small n (k^n); the framework only ever assigns a
-    // handful of managed flows at a time.
-    assert!(
-        k.pow(n as u32) <= 1_000_000,
-        "assignment search space too large: {k}^{n}"
-    );
+    // Exhaustive over k^n assignments: callers with more flows than
+    // that bound go through the controller's greedy fallback.
+    let fits = u32::try_from(n)
+        .ok()
+        .and_then(|n| k.checked_pow(n))
+        .is_some_and(|space| space <= 1_000_000);
+    if !fits {
+        return Err(FrameworkError::NoFeasiblePath);
+    }
     let mut best: Option<Assignment> = None;
     let mut counter = vec![0usize; n];
     loop {
@@ -289,30 +292,6 @@ pub struct SharedAssignment {
 /// 2 candidates each, 2^16 assignments, goes greedy).
 const SHARED_EXHAUSTIVE_BOUND: u64 = 10_000;
 
-/// How the shared-link solver computes standing rates across decision
-/// ticks (see [`crate::waterfill::SharedWaterfill`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveMode {
-    /// Patch the standing max-min solution: arrivals, departures,
-    /// reroutes and demand changes re-water-fill only the affected
-    /// links' saturation sets. The default.
-    #[default]
-    Incremental,
-    /// Recompute the whole matrix every tick — the audited baseline the
-    /// incremental path must match bit for bit.
-    FullRecompute,
-}
-
-impl SolveMode {
-    /// Stable label, recorded as the `decide.solve` span's `mode` arg.
-    pub fn label(self) -> &'static str {
-        match self {
-            SolveMode::Incremental => "incremental",
-            SolveMode::FullRecompute => "full",
-        }
-    }
-}
-
 /// Which placement search [`assign_flows_shared_with`] ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
@@ -343,15 +322,12 @@ pub struct OptimizerConfig {
     /// raise it to buy placement quality with CPU, or drop it to 0 to
     /// force greedy everywhere.
     pub exhaustive_bound: u64,
-    /// Standing-rate strategy across decision ticks.
-    pub mode: SolveMode,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             exhaustive_bound: SHARED_EXHAUSTIVE_BOUND,
-            mode: SolveMode::default(),
         }
     }
 }
@@ -365,9 +341,9 @@ impl Default for OptimizerConfig {
 /// then worst-off flow rate, then lexicographically-earliest choice —
 /// the single-pair engine's tie-break, so earlier flows stay on earlier
 /// tunnels); large batches fall back to an online greedy water-fill.
-/// Either way the returned rates come from one final
-/// max-min progressive fill over the chosen assignment, so the
-/// no-oversubscription invariant holds exactly.
+/// Either way the returned rates come from one final canonical max-min
+/// fill over the chosen assignment, so the no-oversubscription
+/// invariant holds exactly.
 pub fn assign_flows_shared(
     model: &SharedLinkModel,
     flows: &[FlowDemand],
@@ -404,7 +380,7 @@ pub fn assign_flows_shared_with(
         }
         _ => (greedy_shared(model, flows), SolverKind::Greedy),
     };
-    let (rate_of_flow, predicted_total, predicted_min_rate) = water_fill(model, flows, &choice);
+    let (rate_of_flow, predicted_total, predicted_min_rate) = shared_rates(model, flows, &choice);
     Ok((
         SharedAssignment {
             tunnel_of_flow: choice,
@@ -417,7 +393,7 @@ pub fn assign_flows_shared_with(
 }
 
 /// Exhaustive placement: mixed-radix enumeration over each flow's
-/// candidate list, scored by [`water_fill`].
+/// candidate list, scored by [`shared_rates`].
 fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
     let n = flows.len();
     let radix: Vec<&[usize]> = flows
@@ -428,7 +404,7 @@ fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize
     let mut best: Option<(Vec<usize>, f64, f64)> = None;
     loop {
         let choice: Vec<usize> = counter.iter().zip(&radix).map(|(&c, r)| r[c]).collect();
-        let (_, total, min_rate) = water_fill(model, flows, &choice);
+        let (_, total, min_rate) = shared_rates(model, flows, &choice);
         let better = match &best {
             None => true,
             Some((b_choice, b_total, b_min)) => {
@@ -496,82 +472,23 @@ fn greedy_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
     choice
 }
 
-/// Max-min progressive filling of one concrete assignment: all active
-/// flows grow at the same rate until a link saturates or a demand is
-/// met; flows touching a saturated link (or at demand) freeze; repeat.
-/// Deterministic (fixed iteration order) and safe: a link's residual
-/// never goes below ~f64 epsilon of zero, so the sum of returned rates
-/// respects every link's headroom.
-fn water_fill(
+/// Max-min rates of one concrete assignment — one from-scratch fill
+/// of the canonical engine ([`netsim::waterfill::max_min_rates`]), so
+/// the sum of returned rates respects every link's headroom and a
+/// standing [`netsim::Waterfill`] holding the same flows under ids
+/// `0, 1, …` lands on the same bits. Returns `(rates, total, min)`.
+fn shared_rates(
     model: &SharedLinkModel,
     flows: &[FlowDemand],
     choice: &[usize],
 ) -> (Vec<f64>, f64, f64) {
-    let n = flows.len();
-    let mut residual = model.headroom.clone();
-    let mut rate = vec![0.0f64; n];
-    let mut active = vec![true; n];
-    let mut active_left = n;
-    while active_left > 0 {
-        // flows per link among the still-active
-        let mut count = vec![0usize; residual.len()];
-        for i in 0..n {
-            if active[i] {
-                for &l in &model.tunnel_links[choice[i]] {
-                    count[l] += 1;
-                }
-            }
-        }
-        // uniform growth until the first constraint binds
-        let mut delta = f64::INFINITY;
-        for (l, &c) in count.iter().enumerate() {
-            if c > 0 {
-                delta = delta.min(residual[l] / c as f64);
-            }
-        }
-        for i in 0..n {
-            if active[i] {
-                if let Some(d) = flows[i].demand {
-                    delta = delta.min((d - rate[i]).max(0.0));
-                }
-            }
-        }
-        if !delta.is_finite() {
-            // Active flows crossing no capacitated link (degenerate
-            // model): freeze them at their current rate.
-            break;
-        }
-        let delta = delta.max(0.0);
-        for i in 0..n {
-            if active[i] {
-                rate[i] += delta;
-            }
-        }
-        for (l, &c) in count.iter().enumerate() {
-            if c > 0 {
-                residual[l] -= delta * c as f64;
-            }
-        }
-        // freeze flows at demand or on a saturated link
-        let mut froze = false;
-        for i in 0..n {
-            if !active[i] {
-                continue;
-            }
-            let at_demand = flows[i].demand.is_some_and(|d| rate[i] >= d - 1e-12);
-            let saturated = model.tunnel_links[choice[i]]
-                .iter()
-                .any(|&l| residual[l] <= 1e-12);
-            if at_demand || saturated {
-                active[i] = false;
-                active_left -= 1;
-                froze = true;
-            }
-        }
-        if !froze {
-            break; // numerical stall: stop growing rather than loop
-        }
-    }
+    let rate = netsim::waterfill::max_min_rates(
+        &model.headroom,
+        flows
+            .iter()
+            .zip(choice)
+            .map(|(f, &t)| (model.tunnel_links[t].as_slice(), f.demand)),
+    );
     let total = rate.iter().sum();
     let min_rate = rate.iter().copied().fold(f64::INFINITY, f64::min);
     (
@@ -672,6 +589,13 @@ mod tests {
     fn empty_inputs_rejected() {
         assert!(assign_flows(&[], &[None]).is_err());
         assert!(assign_flows(&[10.0], &[]).is_err());
+    }
+
+    #[test]
+    fn oversized_search_spaces_are_rejected_not_panics() {
+        // 3^13 > 10^6 assignments, and 2^100 overflows u64 outright.
+        assert!(assign_flows(&[20.0, 10.0, 5.0], &[None; 13]).is_err());
+        assert!(assign_flows(&[20.0, 10.0], &[None; 100]).is_err());
     }
 
     // ---- shared-link (multi-pair) engine ----

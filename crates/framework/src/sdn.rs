@@ -6,21 +6,21 @@
 //! [`SelfDrivingNetwork::run_flow_aggregation`] (Fig 12) and
 //! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
 
-use crate::controller::{decide_flows, decide_flows_pairs, decide_path, PathDecision, SequenceLog};
+use crate::controller::{
+    decide_flows, decide_flows_pairs, decide_path, place_batch, PathDecision, SequenceLog,
+};
 use crate::hecate::HecateService;
 use crate::optimizer::{
-    assign_flows, assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig,
-    SharedLinkModel, SolveMode,
+    assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
 };
 use crate::scheduler::{FlowRequest, Scheduler};
 use crate::telemetry::{scoped_target, Metric, SeriesKey, TelemetryService};
-use crate::waterfill::SharedWaterfill;
 use crate::{FrameworkError, PairId};
 use freertr::agent::{MessageQueue, RouterHandle};
 use freertr::config::fig10_mia_config;
 use freertr::resolve::{allocator_for, compile_tunnel, CompiledTunnel};
 use netsim::topo::global_p4_lab;
-use netsim::{Event, FlowId, FlowSpec, NodeIdx, Simulation};
+use netsim::{Event, FlowId, FlowSpec, NodeIdx, Simulation, Waterfill};
 use polka::NodeIdAllocator;
 use std::collections::BTreeMap;
 
@@ -97,17 +97,15 @@ pub struct SelfDrivingNetwork {
     /// spans carry decision-time stamps (the ML pipeline has no clock
     /// of its own); refreshed at every decision entry point.
     pub(crate) ml_clock: obsv::SimClock,
-    /// Optimizer knobs: exhaustive-vs-greedy cutoff and incremental vs
-    /// full-recompute water-fill. Set via
+    /// Optimizer knobs (the exhaustive-vs-greedy cutoff). Set via
     /// [`SelfDrivingNetwork::set_optimizer_config`].
     pub(crate) opt: OptimizerConfig,
-    /// The standing incremental water-fill engine
-    /// ([`SolveMode::Incremental`] only): patched with headroom and
-    /// flow diffs at every re-optimization instead of being rebuilt.
-    /// Its counters are the `framework.waterfill.incremental.*`
-    /// metrics. `None` until the first multi-pair re-optimization (and
-    /// always under [`SolveMode::FullRecompute`]).
-    pub(crate) waterfill: Option<SharedWaterfill>,
+    /// The standing incremental water-fill engine: patched with
+    /// headroom and flow diffs at every multi-pair re-optimization
+    /// instead of being rebuilt. Its counters are the
+    /// `framework.waterfill.incremental.*` metrics. `None` until the
+    /// first multi-pair re-optimization.
+    pub(crate) waterfill: Option<Waterfill>,
 }
 
 impl SelfDrivingNetwork {
@@ -704,8 +702,10 @@ impl SelfDrivingNetwork {
     /// improve the previous allocation decision"). Returns the new
     /// (label, tunnel) pairs.
     ///
-    /// Single-pair networks run the legacy bottleneck-per-tunnel search
-    /// ([`assign_flows`]) exactly as before; multi-pair networks run the
+    /// Single-pair networks run the legacy bottleneck-per-tunnel
+    /// placement (exhaustive [`crate::optimizer::assign_flows`] while its
+    /// search space fits, else the greedy fallback — the same bound
+    /// [`decide_flows`] uses); multi-pair networks run the
     /// shared-link engine ([`assign_flows_shared_with`]) so the joint
     /// reassignment never oversubscribes a link that candidate tunnels
     /// of different pairs have in common.
@@ -781,7 +781,7 @@ impl SelfDrivingNetwork {
         let mut solver = None;
         let tunnel_of_flow: Vec<usize> = if self.pairs.len() == 1 {
             let demands: Vec<Option<f64>> = self.flows.iter().map(|f| f.demand).collect();
-            assign_flows(&caps, &demands)?.tunnel_of_flow
+            place_batch(&caps, &demands)?
         } else {
             // The whole traffic matrix is reassigned at once, so every
             // link's headroom includes what our own flows currently
@@ -798,9 +798,7 @@ impl SelfDrivingNetwork {
                 .collect();
             let (assignment, kind) = assign_flows_shared_with(&model, &flows, &self.opt)?;
             solver = Some(kind);
-            if self.opt.mode == SolveMode::Incremental {
-                self.patch_waterfill(&model, &assignment.tunnel_of_flow);
-            }
+            self.patch_waterfill(&model, &assignment.tunnel_of_flow);
             assignment.tunnel_of_flow
         };
         let moves: Vec<(String, String)> = self
@@ -810,12 +808,10 @@ impl SelfDrivingNetwork {
             .map(|(f, &t)| (f.label.clone(), names[t].clone()))
             .collect();
         let assigned = moves.len() as u64;
-        let mode = self.opt.mode;
         solve.end(self.sim.now_ns(), move || {
             let mut args = vec![("flows", obsv::Value::U64(assigned))];
             if let Some(kind) = solver {
                 args.push(("solver", obsv::Value::Str(kind.label().to_string())));
-                args.push(("mode", obsv::Value::Str(mode.label().to_string())));
             }
             args
         });
@@ -833,44 +829,39 @@ impl SelfDrivingNetwork {
         Ok(moves)
     }
 
-    /// The optimizer configuration in force (solver cutoff and solve
-    /// mode).
+    /// The optimizer configuration in force (the solver cutoff).
     pub fn optimizer_config(&self) -> &OptimizerConfig {
         &self.opt
     }
 
-    /// Replaces the optimizer configuration. Dropping back to
-    /// [`SolveMode::FullRecompute`] discards the standing incremental
-    /// engine; re-enabling [`SolveMode::Incremental`] rebuilds it at
-    /// the next re-optimization.
+    /// Replaces the optimizer configuration.
     pub fn set_optimizer_config(&mut self, config: OptimizerConfig) {
-        if config.mode == SolveMode::FullRecompute {
-            self.waterfill = None;
-        }
         self.opt = config;
     }
 
     /// The standing incremental water-fill engine, if one is live
-    /// (multi-pair, [`SolveMode::Incremental`], at least one
-    /// re-optimization behind it).
-    pub fn waterfill(&self) -> Option<&SharedWaterfill> {
+    /// (multi-pair, at least one re-optimization behind it).
+    pub fn waterfill(&self) -> Option<&Waterfill> {
         self.waterfill.as_ref()
     }
 
     /// Patches the standing incremental engine to the just-decided
     /// placement: headroom diffs (bitwise no-op per unchanged link),
     /// then flow arrivals / departures / reroutes / demand changes,
-    /// then one batched resolve. The engine is rebuilt from scratch
-    /// only when the link universe itself changed (tunnel discovery
-    /// added links). Counters land in
+    /// then one batched resolve. Each flow is registered with its
+    /// tunnel's links, whose synthetic forecast-cap link makes the list
+    /// unique per tunnel. The engine is rebuilt from scratch only when
+    /// the link universe itself changed (every tunnel discovered adds
+    /// at least its cap link). Counters land in
     /// `framework.waterfill.incremental.*`; the debug audit pins the
     /// standing solution to the from-scratch recompute bit for bit.
     fn patch_waterfill(&mut self, model: &SharedLinkModel, placement: &[usize]) {
-        let stale = self.waterfill.as_ref().is_none_or(|wf| {
-            wf.link_count() != model.headroom.len() || wf.tunnel_count() != model.tunnel_links.len()
-        });
+        let stale = self
+            .waterfill
+            .as_ref()
+            .is_none_or(|wf| wf.link_count() != model.headroom.len());
         if stale {
-            let wf = SharedWaterfill::new(model);
+            let wf = Waterfill::new(model.headroom.clone());
             wf.metrics()
                 .register(&self.obsv.metrics, "framework.waterfill.incremental");
             self.waterfill = Some(wf);
@@ -883,17 +874,13 @@ impl SelfDrivingNetwork {
         let mut keep = std::collections::BTreeSet::new();
         for (f, &t) in self.flows.iter().zip(placement) {
             let id = f.id.0;
+            let links = model.tunnel_links[t].as_slice();
             keep.insert(id);
-            match wf.tunnel_of(id) {
-                None => wf.insert(id, t, f.demand),
-                Some(cur) => {
-                    if cur != t {
-                        wf.set_tunnel(id, t);
-                    }
-                    if wf.demand_of(id) != Some(f.demand) {
-                        wf.set_demand(id, f.demand);
-                    }
-                }
+            if wf.links_of(id).is_none() {
+                wf.insert(id, links, f.demand);
+            } else {
+                wf.set_links(id, links);
+                wf.set_demand(id, f.demand);
             }
         }
         let stale_ids: Vec<u64> = wf
@@ -1281,8 +1268,8 @@ impl SelfDrivingNetwork {
             .schedule(0, Event::SetLinkCapacity(sao_ams, 1000.0))?;
         self.sim
             .schedule(0, Event::SetLinkCapacity(chi_ams, 1000.0))?;
-        self.sim.schedule_capacity_trace(mia_sao, 0, 1000, wifi);
-        self.sim.schedule_capacity_trace(mia_chi, 0, 1000, lte);
+        self.sim.schedule_capacity_trace(mia_sao, 0, 1000, wifi)?;
+        self.sim.schedule_capacity_trace(mia_chi, 0, 1000, lte)?;
 
         // One greedy flow, admitted cold (lands on tunnel1 = the WiFi path).
         self.admit_flow(
@@ -1422,6 +1409,28 @@ mod tests {
         let cfg = sdn.edge().running_config();
         let entry = cfg.pbr.iter().find(|e| e.acl == "flow1").unwrap();
         assert_eq!(entry.tunnel, "tunnel1");
+    }
+
+    #[test]
+    fn reoptimizing_more_flows_than_the_exhaustive_bound_succeeds() {
+        // 13 greedy flows over 3 tunnels: 3^13 assignments exceed the
+        // exhaustive search, so admission and re-optimization both
+        // take the greedy fallback.
+        let mut sdn = SelfDrivingNetwork::testbed(1).unwrap();
+        sdn.advance(30_000).unwrap();
+        let reqs: Vec<FlowRequest> = (0..13)
+            .map(|i| FlowRequest {
+                label: format!("flow{i}"),
+                tos: 32,
+                demand_mbps: None,
+                start_ms: 0,
+                pair: PairId::default(),
+            })
+            .collect();
+        sdn.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+        sdn.advance(40_000).unwrap();
+        let moves = sdn.reoptimize_bandwidth().unwrap();
+        assert_eq!(moves.len(), 13);
     }
 
     #[test]

@@ -1,162 +1,34 @@
-//! Pins the million-flow control plane's core contract **bit for
-//! bit**: after every patch (arrival / departure / reroute / demand
-//! change / headroom change), [`SharedWaterfill::resolve`]'s standing
-//! solution must equal [`SharedWaterfill::full_rates`] — the audited
-//! from-scratch recompute — with `f64::to_bits` equality, under random
-//! cross-pair interleavings.
-//!
-//! This is strictly stronger than the netsim engine's 1e-6-tolerance
-//! pin: the canonical fill makes every rate a pure function of the
-//! saturation structure (see the `framework::waterfill` module docs),
-//! so incremental and full solves cannot even differ in the last ulp.
+//! The controller's two users of the canonical water-fill agree bit
+//! for bit: the optimizer's placement scoring ([`assign_flows_shared`])
+//! and the standing [`netsim::Waterfill`] the controller patches per
+//! re-optimization run the same fill, so mirroring a decided placement
+//! into a standing engine reproduces every predicted rate exactly.
 
-use framework::waterfill::SharedWaterfill;
-use framework::{optimizer::SharedLinkModel, PairId};
-use proptest::prelude::*;
+use framework::optimizer::{assign_flows_shared, FlowDemand, SharedLinkModel};
+use framework::PairId;
+use netsim::Waterfill;
 
-/// Deterministic xorshift so each proptest case derives its own event
-/// sequence from one seed.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-    fn mbps(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.below(10_000) as f64 / 10_000.0) * (hi - lo)
-    }
-}
-
-/// A shared-trunk model across `pairs` pairs: every pair has a private
-/// access link per tunnel plus a trunk link shared by a group of
-/// pairs — so saturation sets genuinely couple across pairs, the case
-/// the expansion scan must get right.
-fn grid_model(pairs: usize, group: usize, rng: &mut Rng) -> SharedLinkModel {
-    let trunks = pairs.div_ceil(group);
-    let mut headroom = Vec::new();
+/// Four pairs, two candidate tunnels each; each tunnel crosses a
+/// private access link and one of two trunks shared across pairs.
+fn trunk_model() -> SharedLinkModel {
+    let mut headroom = vec![18.5, 31.25];
     let mut tunnel_links = Vec::new();
     let mut candidates = Vec::new();
-    // trunk links first
-    for _ in 0..trunks {
-        headroom.push(rng.mbps(8.0, 40.0));
-    }
-    for p in 0..pairs {
+    for p in 0..4usize {
         let mut cand = Vec::new();
         for t in 0..2usize {
-            let access = headroom.len();
-            headroom.push(rng.mbps(4.0, 25.0));
-            let trunk = (p / group + t) % trunks;
+            headroom.push(4.0 + 3.3 * (2 * p + t) as f64);
             cand.push(tunnel_links.len());
-            tunnel_links.push(vec![trunk, access]);
+            tunnel_links.push(vec![(p / 2 + t) % 2, headroom.len() - 1]);
         }
         candidates.push(cand);
     }
     SharedLinkModel::new(headroom, tunnel_links, candidates)
 }
 
-fn assert_bitwise(wf: &SharedWaterfill, step: usize, seed: u64) {
-    let standing = wf.rates();
-    let full = wf.full_rates();
-    assert_eq!(standing.len(), full.len());
-    for ((ia, ra), (ib, rb)) in standing.iter().zip(&full) {
-        assert_eq!(ia, ib);
-        assert!(
-            ra.to_bits() == rb.to_bits(),
-            "step {step} (seed {seed}): flow {ia} incremental {ra:.17} != full {rb:.17}"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// ≥4 pairs, random arrival/departure/reroute/demand/capacity
-    /// interleavings: incremental ≡ recompute, bitwise, at every step.
-    #[test]
-    fn incremental_equals_recompute_bitwise(seed in 1u64..5_000) {
-        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let pairs = 4 + rng.below(5) as usize; // 4..=8
-        let model = grid_model(pairs, 3, &mut rng);
-        let mut wf = SharedWaterfill::new(&model);
-        let mut live: Vec<(u64, usize)> = Vec::new(); // (id, pair)
-        let mut next_id = 0u64;
-        let steps = 60 + rng.below(60) as usize;
-        for step in 0..steps {
-            match rng.below(10) {
-                // Arrival (weighted heaviest, mixed greedy/demand).
-                0..=3 => {
-                    let pair = rng.below(pairs as u64) as usize;
-                    let cand = &model.candidates[pair];
-                    let tunnel = cand[rng.below(cand.len() as u64) as usize];
-                    let demand = match rng.below(3) {
-                        0 => None,
-                        _ => Some(rng.mbps(0.2, 12.0)),
-                    };
-                    wf.insert(next_id, tunnel, demand);
-                    live.push((next_id, pair));
-                    next_id += 1;
-                }
-                // Departure.
-                4..=5 => {
-                    if !live.is_empty() {
-                        let i = rng.below(live.len() as u64) as usize;
-                        let (id, _) = live.swap_remove(i);
-                        wf.remove(id);
-                    }
-                }
-                // Reroute onto the pair's other candidate.
-                6 => {
-                    if !live.is_empty() {
-                        let i = rng.below(live.len() as u64) as usize;
-                        let (id, pair) = live[i];
-                        let cand = &model.candidates[pair];
-                        let tunnel = cand[rng.below(cand.len() as u64) as usize];
-                        wf.set_tunnel(id, tunnel);
-                    }
-                }
-                // Demand ramp (up, down, or to greedy).
-                7..=8 => {
-                    if !live.is_empty() {
-                        let i = rng.below(live.len() as u64) as usize;
-                        let (id, _) = live[i];
-                        let demand = match rng.below(4) {
-                            0 => None,
-                            _ => Some(rng.mbps(0.1, 15.0)),
-                        };
-                        wf.set_demand(id, demand);
-                    }
-                }
-                // Headroom change (trunk or access).
-                _ => {
-                    let link = rng.below(wf.link_count() as u64) as usize;
-                    wf.set_headroom(link, rng.mbps(2.0, 40.0));
-                }
-            }
-            wf.resolve();
-            assert_bitwise(&wf, step, seed);
-        }
-        // The point of the machinery: the interleaving must actually
-        // have exercised the cheap paths, not escalated every event.
-        let stats = wf.stats();
-        prop_assert!(
-            stats.incremental_solves + stats.fast_path_events > 0,
-            "no incremental work happened: {stats:?}"
-        );
-    }
-}
-
-/// The `PairId` import is exercised by the optimizer-level smoke below
-/// (and keeps the test aligned with the controller's vocabulary).
 #[test]
 fn standing_engine_matches_assign_flows_shared_totals() {
-    use framework::optimizer::{assign_flows_shared, FlowDemand};
-    let mut rng = Rng(77);
-    let model = grid_model(4, 2, &mut rng);
+    let model = trunk_model();
     let flows: Vec<FlowDemand> = (0..6)
         .map(|i| FlowDemand {
             pair: PairId(i % 4),
@@ -164,18 +36,17 @@ fn standing_engine_matches_assign_flows_shared_totals() {
         })
         .collect();
     let assignment = assign_flows_shared(&model, &flows).unwrap();
-    // Mirror the chosen placement in the standing engine: totals agree
-    // to float tolerance (different but equivalent max-min fills).
-    let mut wf = SharedWaterfill::new(&model);
+    let mut wf = Waterfill::new(model.headroom.clone());
     for (i, (f, &t)) in flows.iter().zip(&assignment.tunnel_of_flow).enumerate() {
-        wf.insert(i as u64, t, f.demand);
+        wf.insert(i as u64, &model.tunnel_links[t], f.demand);
     }
     wf.resolve();
     assert!(wf.audit());
-    let total: f64 = wf.rates().iter().map(|(_, r)| r).sum();
-    assert!(
-        (total - assignment.predicted_total).abs() < 1e-6,
-        "engine total {total} vs assignment total {}",
-        assignment.predicted_total
-    );
+    let standing: Vec<u64> = wf.rates().iter().map(|(_, r)| r.to_bits()).collect();
+    let predicted: Vec<u64> = assignment
+        .rate_of_flow
+        .iter()
+        .map(|r| r.to_bits())
+        .collect();
+    assert_eq!(standing, predicted, "{assignment:?} vs {:?}", wf.rates());
 }

@@ -425,7 +425,6 @@ fn solver_kind_reports_the_configured_cutoff() {
     // Cutoff forced to zero: the same batch goes greedy.
     let greedy = OptimizerConfig {
         exhaustive_bound: 0,
-        ..OptimizerConfig::default()
     };
     assert_eq!(solve(&greedy), Some(SolverKind::Greedy));
 }

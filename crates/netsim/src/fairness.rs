@@ -1,15 +1,21 @@
-//! Max-min fair bandwidth allocation (progressive filling with demands).
+//! Max-min fair bandwidth allocation over a topology's directed links.
 //!
 //! When several TCP flows share bottlenecks, their steady-state goodput is
 //! well approximated by the max-min fair allocation: every flow gets as
 //! much as possible subject to no link exceeding capacity, and no flow can
 //! gain without a poorer flow losing. The classic water-filling algorithm:
 //! repeatedly find the most constrained link, freeze its flows at the fair
-//! share, remove the used capacity, and continue. Demand-limited flows
-//! freeze at their demand as soon as the rising water level reaches it.
+//! share, and continue. Demand-limited flows freeze at their demand as
+//! soon as the rising water level reaches it.
+//!
+//! This module maps node paths onto the one canonical engine in
+//! [`crate::waterfill`]: [`max_min_allocation`] is its from-scratch fill,
+//! [`FairShareEngine`] its standing incremental solution, and both assign
+//! the same bits.
 
 use crate::flow::FlowId;
 use crate::topo::{LinkId, NodeIdx, Topology};
+use crate::waterfill::{max_min_rates, Waterfill, WaterfillMetrics, WaterfillStats};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One flow's view for the allocator: its links and optional demand cap.
@@ -50,204 +56,60 @@ pub fn directed_links(
     Ok(out)
 }
 
-/// Computes the max-min fair allocation. Returns one rate per flow, in
-/// input order. Flows crossing failed links get 0.
+/// Dense engine index of a directed link: `2·link + direction`.
+fn dense(lid: LinkId, dir: Direction) -> usize {
+    2 * lid.0 as usize + usize::from(dir == Direction::Reverse)
+}
+
+fn dense_links(links: &[(LinkId, Direction)]) -> Vec<usize> {
+    links.iter().map(|&(lid, dir)| dense(lid, dir)).collect()
+}
+
+/// Computes the max-min fair allocation: one from-scratch fill of the
+/// canonical engine ([`max_min_rates`]) over every directed link's
+/// capacity. Returns one rate per flow, in input order. Flows crossing
+/// failed links get 0.
 pub fn max_min_allocation(topo: &Topology, flows: &[AllocFlow]) -> Vec<f64> {
-    let n = flows.len();
-    let mut rates = vec![0.0f64; n];
-    if n == 0 {
-        return rates;
+    let mut headroom = Vec::with_capacity(2 * topo.link_count());
+    for l in 0..topo.link_count() {
+        let cap = topo.link(LinkId(l as u32)).capacity_mbps;
+        headroom.extend([cap, cap]);
     }
-    // Per directed-link remaining capacity and unfrozen flow lists.
-    // Sorted maps: the bottleneck scan below iterates them, and that
-    // iteration order must be reproducible across processes.
-    let mut remaining: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-    let mut members: BTreeMap<(LinkId, Direction), Vec<usize>> = BTreeMap::new();
-    let mut frozen = vec![false; n];
-    for (i, f) in flows.iter().enumerate() {
-        let dead = f.links.iter().any(|(lid, _)| !topo.link(*lid).up);
-        if dead || f.links.is_empty() {
-            frozen[i] = true; // rate stays 0 (or demand handled below for empty)
-            if f.links.is_empty() {
-                rates[i] = f.demand.unwrap_or(0.0);
-            }
-            continue;
-        }
-        for &(lid, dir) in &f.links {
-            remaining
-                .entry((lid, dir))
-                .or_insert_with(|| topo.link(lid).capacity_mbps);
-            members.entry((lid, dir)).or_default().push(i);
-        }
-    }
-    // Water level rises; at each step the binding constraint is either a
-    // link's fair share or some flow's demand.
-    for _round in 0..n + remaining.len() + 1 {
-        if frozen.iter().all(|f| *f) {
-            break;
-        }
-        // Fair share offered by each still-shared link. The map
-        // iterates in sorted key order, and ties still break
-        // explicitly to the smallest (link, direction) key — which
-        // flows freeze this round (and thus every downstream rate)
-        // must be reproducible across processes.
-        let mut min_share = f64::INFINITY;
-        let mut min_key: Option<(LinkId, Direction)> = None;
-        for (key, cap) in &remaining {
-            let count = members[key].iter().filter(|&&i| !frozen[i]).count();
-            if count == 0 {
-                continue;
-            }
-            let share = *cap / count as f64;
-            let better = match min_key {
-                None => true,
-                Some(k) => share < min_share || (share == min_share && *key < k),
-            };
-            if better {
-                min_share = share;
-                min_key = Some(*key);
-            }
-        }
-        let Some(bottleneck) = min_key else { break };
-        // Any unfrozen demand below the water level freezes at demand
-        // first (its leftover capacity raises everyone else).
-        let demand_limited: Vec<usize> = (0..n)
-            .filter(|&i| !frozen[i] && flows[i].demand.is_some_and(|d| d <= min_share + 1e-12))
-            .collect();
-        let to_freeze: Vec<(usize, f64)> = if demand_limited.is_empty() {
-            members[&bottleneck]
-                .iter()
-                .filter(|&&i| !frozen[i])
-                .map(|&i| (i, min_share))
-                .collect()
-        } else {
-            demand_limited
-                .into_iter()
-                .map(|i| (i, flows[i].demand.expect("checked demand-limited")))
-                .collect()
-        };
-        for (i, rate) in to_freeze {
-            frozen[i] = true;
-            rates[i] = rate;
-            for &(lid, dir) in &flows[i].links {
-                if let Some(cap) = remaining.get_mut(&(lid, dir)) {
-                    *cap = (*cap - rate).max(0.0);
-                }
-            }
-        }
+    let live: Vec<(usize, Vec<usize>)> = flows
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.links.iter().all(|(lid, _)| topo.link(*lid).up))
+        .map(|(i, f)| (i, dense_links(&f.links)))
+        .collect();
+    let solved = max_min_rates(
+        &headroom,
+        live.iter()
+            .map(|(i, links)| (links.as_slice(), flows[*i].demand)),
+    );
+    let mut rates = vec![0.0; flows.len()];
+    for ((i, _), r) in live.iter().zip(solved) {
+        rates[*i] = r;
     }
     rates
 }
 
-/// Saturation / feasibility tolerance in Mbps.
-const EPS: f64 = 1e-9;
-/// Expansion-fixpoint iterations before falling back to a full solve.
-const MAX_EXPANSIONS: usize = 8;
-
-/// Audit counters for the incremental allocator: how often the
-/// restricted solve sufficed versus escalating to a full water-fill.
+/// The simulator's incremental max-min allocator: a thin adapter from
+/// `(LinkId, Direction)` paths onto the canonical [`Waterfill`], whose
+/// dense links are the topology's directed links (`2·link + dir`, each
+/// with its link's capacity as headroom).
 ///
-/// This is a point-in-time *snapshot* of [`WaterfillMetrics`] — the
-/// live storage is `obsv` counters, shared with any attached metrics
-/// registry; this plain struct remains the stable accessor type.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WaterfillStats {
-    /// Restricted (component-local) solves that converged.
-    pub incremental_solves: u64,
-    /// Solves that escalated to the full flow set (audited fallback).
-    pub full_solves: u64,
-    /// Component-expansion iterations across all solves.
-    pub expansions: u64,
-    /// Events absorbed with no water-fill at all (e.g. a demand-limited
-    /// arrival onto links with spare capacity).
-    pub fast_path_events: u64,
-}
-
-/// The live audit instruments behind [`WaterfillStats`]: `obsv`
-/// counters, so a scenario's metrics registry can watch the allocator
-/// without the engine knowing about snapshots or epochs.
-#[derive(Debug, Clone, Default)]
-pub struct WaterfillMetrics {
-    /// Restricted solves that converged.
-    pub incremental_solves: obsv::Counter,
-    /// Escalations to the full flow set.
-    pub full_solves: obsv::Counter,
-    /// Component-expansion iterations.
-    pub expansions: obsv::Counter,
-    /// Events absorbed with no water-fill.
-    pub fast_path_events: obsv::Counter,
-}
-
-impl WaterfillMetrics {
-    /// Current values as a plain struct.
-    pub fn snapshot(&self) -> WaterfillStats {
-        WaterfillStats {
-            incremental_solves: self.incremental_solves.get(),
-            full_solves: self.full_solves.get(),
-            expansions: self.expansions.get(),
-            fast_path_events: self.fast_path_events.get(),
-        }
-    }
-
-    /// Exposes the live counters in `registry` under
-    /// `{prefix}.{field}` (e.g. `netsim.waterfill.expansions`).
-    pub fn register(&self, registry: &obsv::Registry, prefix: &str) {
-        registry.adopt_counter(
-            &format!("{prefix}.incremental_solves"),
-            &self.incremental_solves,
-        );
-        registry.adopt_counter(&format!("{prefix}.full_solves"), &self.full_solves);
-        registry.adopt_counter(&format!("{prefix}.expansions"), &self.expansions);
-        registry.adopt_counter(
-            &format!("{prefix}.fast_path_events"),
-            &self.fast_path_events,
-        );
-    }
-}
-
-#[derive(Debug, Clone)]
-struct EngFlow {
-    links: Vec<(LinkId, Direction)>,
-    demand: Option<f64>,
-    /// Current raw (pre-efficiency) max-min rate.
-    rate: f64,
-    /// True when the flow's path crosses a failed link: it holds no
-    /// capacity and carries nothing until the link is restored.
-    dead: bool,
-}
-
-impl EngFlow {
-    fn at_demand(&self) -> bool {
-        self.demand.is_some_and(|d| self.rate >= d - EPS)
-    }
-}
-
-/// Incremental max-min fair allocator.
-///
-/// Maintains per-flow rates and per-directed-link membership sets across
-/// arrival/departure/reroute/capacity events, re-water-filling only the
-/// *affected component*: the event's flows plus, iteratively, any
-/// outside flow whose own allocation the restricted solve would
-/// invalidate (squeezed above the link's new water level, eligible to
-/// grow into freed capacity, or bottlenecked at a link whose level
-/// rose). The expansion fixpoint is exact — when no outside flow
-/// triggers, the Bertsekas–Gallager max-min certificate (every
-/// non-demand-capped flow has a saturated link where its rate is
-/// maximal) still holds for all untouched flows, so the merged
-/// allocation equals the full water-fill up to float rounding. A
-/// proptest in `netsim/tests` pins incremental ≡ full; full solves
-/// remain available as an audited fallback ([`WaterfillStats`]).
-///
-/// Everything iterates `BTreeMap`/`BTreeSet` so float accumulation
-/// order — and therefore every rate — is reproducible bit-for-bit.
+/// A flow whose path crosses a failed link stays *outside* the engine
+/// at rate 0 until a restore revives it, so the engine never sees a
+/// dead flow. Every rate is therefore exactly what a from-scratch
+/// [`max_min_allocation`] of the live flows assigns, bit for bit — a
+/// proptest in `netsim/tests` pins that equality after every event.
 #[derive(Debug, Default)]
 pub struct FairShareEngine {
-    flows: BTreeMap<FlowId, EngFlow>,
-    members: BTreeMap<(LinkId, Direction), BTreeSet<FlowId>>,
-    live: usize,
-    seeds: BTreeSet<FlowId>,
-    changed: BTreeMap<FlowId, f64>,
-    stats: WaterfillMetrics,
+    wf: Waterfill,
+    /// Flows stalled on a failed link, with their demand.
+    dead: BTreeMap<FlowId, Option<f64>>,
+    /// Flows that died since the last resolve (reported at rate 0).
+    died: BTreeSet<FlowId>,
 }
 
 impl FairShareEngine {
@@ -266,68 +128,22 @@ impl FairShareEngine {
         links: Option<Vec<(LinkId, Direction)>>,
         demand: Option<f64>,
     ) {
-        if self.flows.contains_key(&id) {
-            self.remove_flow(topo, id);
-        }
-        let Some(links) = links else {
-            self.flows.insert(
-                id,
-                EngFlow {
-                    links: Vec::new(),
-                    demand,
-                    rate: 0.0,
-                    dead: true,
-                },
-            );
-            self.changed.insert(id, 0.0);
-            return;
-        };
-        // Fast path, proven exact by the max-min certificate: a
-        // demand-limited arrival whose every link keeps spare capacity
-        // even after granting the demand saturates nothing, so no other
-        // flow's certificate link changes.
-        let fast =
-            demand.is_some_and(|d| links.iter().all(|key| self.residual(topo, *key) > d + EPS));
-        let rate = if fast {
-            demand.expect("fast implies demand")
-        } else {
-            0.0
-        };
-        for key in &links {
-            self.members.entry(*key).or_default().insert(id);
-        }
-        self.flows.insert(
-            id,
-            EngFlow {
-                links,
-                demand,
-                rate,
-                dead: false,
-            },
-        );
-        self.live += 1;
-        if fast {
-            self.stats.fast_path_events.inc();
-            self.changed.insert(id, rate);
-        } else {
-            self.seeds.insert(id);
+        self.remove_flow(id);
+        match links {
+            None => self.bury(id, demand),
+            Some(links) => {
+                self.sync_links(topo);
+                self.wf.insert(id.0, &dense_links(&links), demand);
+            }
         }
     }
 
     /// Unregisters a flow, seeding neighbors that can grow into the
     /// capacity it releases.
-    pub fn remove_flow(&mut self, topo: &Topology, id: FlowId) {
-        let Some(f) = self.flows.get(&id).cloned() else {
-            return;
-        };
-        if !f.dead {
-            self.release_seeds(topo, &f.links, id);
-            self.drop_membership(&f.links, id);
-            self.live -= 1;
-        }
-        self.flows.remove(&id);
-        self.seeds.remove(&id);
-        self.changed.remove(&id);
+    pub fn remove_flow(&mut self, id: FlowId) {
+        self.wf.remove(id.0);
+        self.dead.remove(&id);
+        self.died.remove(&id);
     }
 
     /// Repoints a flow at a new link set (`None` = now dead). Used for
@@ -339,80 +155,43 @@ impl FairShareEngine {
         id: FlowId,
         links: Option<Vec<(LinkId, Direction)>>,
     ) {
-        let Some(cur) = self.flows.get(&id) else {
-            return;
-        };
-        let (was_dead, old_links) = (cur.dead, cur.links.clone());
-        match links {
-            None => {
-                if was_dead {
-                    return;
+        match (links, self.dead.get(&id).copied()) {
+            (None, Some(_)) => {}
+            (None, None) => {
+                if let Some(demand) = self.wf.demand_of(id.0) {
+                    self.wf.remove(id.0);
+                    self.bury(id, demand);
                 }
-                self.release_seeds(topo, &old_links, id);
-                self.drop_membership(&old_links, id);
-                self.live -= 1;
-                let f = self.flows.get_mut(&id).expect("checked above");
-                f.dead = true;
-                f.links = Vec::new();
-                f.rate = 0.0;
-                self.seeds.remove(&id);
-                self.changed.insert(id, 0.0);
             }
-            Some(new_links) => {
-                if !was_dead && new_links == old_links {
-                    return;
-                }
-                if was_dead {
-                    self.live += 1;
-                } else {
-                    self.release_seeds(topo, &old_links, id);
-                    self.drop_membership(&old_links, id);
-                }
-                for key in &new_links {
-                    self.members.entry(*key).or_default().insert(id);
-                }
-                let f = self.flows.get_mut(&id).expect("checked above");
-                f.dead = false;
-                f.links = new_links;
-                self.seeds.insert(id);
+            (Some(links), Some(demand)) => {
+                self.dead.remove(&id);
+                self.sync_links(topo);
+                self.wf.insert(id.0, &dense_links(&links), demand);
+            }
+            (Some(links), None) => {
+                self.sync_links(topo);
+                self.wf.set_links(id.0, &dense_links(&links));
             }
         }
     }
 
-    /// Changes a flow's elastic demand in place (`None` = greedy).
-    ///
-    /// The flow re-solves from its own saturation component; when the
-    /// new demand shrinks the flow below its current rate, the members
-    /// bottlenecked at its saturated links are seeded first — they are
-    /// the flows entitled to grow into the released capacity, exactly
-    /// as on departure. A demand change on a dead flow just records
-    /// the new demand; the flow re-enters the fill when it revives.
-    pub fn set_demand(&mut self, topo: &Topology, id: FlowId, demand: Option<f64>) {
-        let Some(f) = self.flows.get(&id) else {
-            return;
-        };
-        if f.demand == demand {
-            return;
-        }
-        let (dead, links, rate) = (f.dead, f.links.clone(), f.rate);
-        let shrinking = demand.is_some_and(|d| d < rate - EPS);
-        if !dead && shrinking {
-            self.release_seeds(topo, &links, id);
-        }
-        let f = self.flows.get_mut(&id).expect("checked above");
-        f.demand = demand;
-        if !dead {
-            self.seeds.insert(id);
+    /// Changes a flow's elastic demand in place (`None` = greedy). A
+    /// dead flow just records it and re-enters the fill with it when it
+    /// revives.
+    pub fn set_demand(&mut self, id: FlowId, demand: Option<f64>) {
+        match self.dead.get_mut(&id) {
+            Some(d) => *d = demand,
+            None => self.wf.set_demand(id.0, demand),
         }
     }
 
-    /// Marks a link's capacity as changed: all its member flows (both
-    /// directions) re-solve. Call after updating the topology.
-    pub fn capacity_changed(&mut self, lid: LinkId) {
+    /// Applies a link's new capacity (both directions): all its member
+    /// flows re-solve. Call after updating the topology.
+    pub fn capacity_changed(&mut self, topo: &Topology, lid: LinkId) {
+        self.sync_links(topo);
+        let cap = topo.link(lid).capacity_mbps;
         for dir in [Direction::Forward, Direction::Reverse] {
-            if let Some(mem) = self.members.get(&(lid, dir)) {
-                self.seeds.extend(mem.iter().copied());
-            }
+            self.wf.set_headroom(dense(lid, dir), cap);
         }
     }
 
@@ -420,297 +199,59 @@ impl FairShareEngine {
     /// touched, returning `(flow, new raw rate)` for every flow whose
     /// rate changed — sorted by flow id, so downstream share updates
     /// replay deterministically.
-    pub fn resolve(&mut self, topo: &Topology) -> Vec<(FlowId, f64)> {
-        let seeds = std::mem::take(&mut self.seeds);
-        let comp: BTreeSet<FlowId> = seeds
+    pub fn resolve(&mut self) -> Vec<(FlowId, f64)> {
+        let mut out: BTreeMap<FlowId, f64> = std::mem::take(&mut self.died)
             .into_iter()
-            .filter(|id| self.flows.get(id).is_some_and(|f| !f.dead))
+            .map(|id| (id, 0.0))
             .collect();
-        if !comp.is_empty() {
-            self.solve(topo, comp);
-        }
-        std::mem::take(&mut self.changed).into_iter().collect()
+        out.extend(self.wf.resolve().into_iter().map(|(id, r)| (FlowId(id), r)));
+        out.into_iter().collect()
     }
 
     /// Current raw rate of a flow (0 for dead flows).
     pub fn rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.rate)
+        self.wf
+            .rate(id.0)
+            .or_else(|| self.dead.contains_key(&id).then_some(0.0))
     }
 
     /// All `(flow, raw rate)` pairs, sorted by flow id.
     pub fn rates(&self) -> Vec<(FlowId, f64)> {
-        self.flows.iter().map(|(id, f)| (*id, f.rate)).collect()
+        let mut all: BTreeMap<FlowId, f64> = self.dead.keys().map(|&id| (id, 0.0)).collect();
+        all.extend(self.wf.rates().into_iter().map(|(id, r)| (FlowId(id), r)));
+        all.into_iter().collect()
     }
 
     /// Number of live (non-dead) flows.
     pub fn live_flows(&self) -> usize {
-        self.live
+        self.wf.flow_count()
     }
 
     /// Audit counters (a snapshot; the live instruments are
     /// [`FairShareEngine::metrics`]).
     pub fn stats(&self) -> WaterfillStats {
-        self.stats.snapshot()
+        self.wf.stats()
     }
 
     /// The live `obsv` instruments behind [`FairShareEngine::stats`].
     pub fn metrics(&self) -> &WaterfillMetrics {
-        &self.stats
+        self.wf.metrics()
     }
 
-    fn drop_membership(&mut self, links: &[(LinkId, Direction)], id: FlowId) {
-        for key in links {
-            if let Some(mem) = self.members.get_mut(key) {
-                mem.remove(&id);
-                if mem.is_empty() {
-                    self.members.remove(key);
-                }
-            }
-        }
+    /// Parks a flow outside the engine at rate 0.
+    fn bury(&mut self, id: FlowId, demand: Option<f64>) {
+        self.dead.insert(id, demand);
+        self.died.insert(id);
     }
 
-    /// Remaining capacity of a directed link given current rates.
-    fn residual(&self, topo: &Topology, key: (LinkId, Direction)) -> f64 {
-        let cap = topo.link(key.0).capacity_mbps;
-        let used: f64 = self
-            .members
-            .get(&key)
-            .map(|mem| mem.iter().map(|m| self.flows[m].rate).sum())
-            .unwrap_or(0.0);
-        cap - used
-    }
-
-    /// When `leaving` is about to stop holding capacity on `links`,
-    /// seed the members of each *currently saturated* such link that
-    /// were bottlenecked there (rate at the link's water level, not
-    /// demand-capped) — they are the flows entitled to grow. A flow at
-    /// rate ≤ EPS releases nothing and an unsaturated link constrains
-    /// nobody, so both skip straight through — that is the departure
-    /// fast path.
-    fn release_seeds(&mut self, topo: &Topology, links: &[(LinkId, Direction)], leaving: FlowId) {
-        if self.flows.get(&leaving).is_none_or(|f| f.rate <= EPS) {
-            return;
+    /// Grows the engine's dense link table to cover every topology link.
+    fn sync_links(&mut self, topo: &Topology) {
+        while self.wf.link_count() < 2 * topo.link_count() {
+            let cap = topo
+                .link(LinkId((self.wf.link_count() / 2) as u32))
+                .capacity_mbps;
+            self.wf.add_link(cap);
         }
-        for key in links {
-            let Some(mem) = self.members.get(key) else {
-                continue;
-            };
-            let cap = topo.link(key.0).capacity_mbps;
-            let mut used = 0.0;
-            let mut lambda = f64::NEG_INFINITY;
-            for m in mem {
-                let r = self.flows[m].rate;
-                used += r;
-                lambda = lambda.max(r);
-            }
-            if cap - used > EPS {
-                continue;
-            }
-            for m in mem {
-                if *m == leaving {
-                    continue;
-                }
-                let mf = &self.flows[m];
-                if !mf.at_demand() && mf.rate >= lambda - EPS {
-                    self.seeds.insert(*m);
-                }
-            }
-        }
-    }
-
-    fn solve(&mut self, topo: &Topology, mut comp: BTreeSet<FlowId>) {
-        let mut iterations = 0usize;
-        loop {
-            let full = iterations >= MAX_EXPANSIONS || comp.len() * 2 > self.live;
-            if full {
-                comp = self
-                    .flows
-                    .iter()
-                    .filter(|(_, f)| !f.dead)
-                    .map(|(id, _)| *id)
-                    .collect();
-            }
-            let order: Vec<FlowId> = comp.iter().copied().collect();
-            // Pre-solve state of every touched link: effective capacity
-            // for the restricted solve (full capacity minus what
-            // outside flows hold) and the pre-solve water level of
-            // saturated links (for the growth/freed expansion tests).
-            let mut touched: BTreeSet<(LinkId, Direction)> = BTreeSet::new();
-            for id in &order {
-                touched.extend(self.flows[id].links.iter().copied());
-            }
-            let mut cap_eff: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-            let mut pre_lambda: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-            for key in &touched {
-                let cap = topo.link(key.0).capacity_mbps;
-                let mut used_all = 0.0;
-                let mut used_out = 0.0;
-                let mut lambda = f64::NEG_INFINITY;
-                for m in &self.members[key] {
-                    let r = self.flows[m].rate;
-                    used_all += r;
-                    if !comp.contains(m) {
-                        used_out += r;
-                    }
-                    lambda = lambda.max(r);
-                }
-                if cap - used_all <= EPS {
-                    pre_lambda.insert(*key, lambda);
-                }
-                cap_eff.insert(*key, (cap - used_out).max(0.0));
-            }
-            let (new_rates, picked_lambda) = self.waterfill_component(&order, &cap_eff);
-            if full {
-                self.stats.full_solves.inc();
-                self.commit(&new_rates);
-                return;
-            }
-            // Expansion scan: does any outside flow's allocation become
-            // invalid under the restricted solution?
-            let mut joins: BTreeSet<FlowId> = BTreeSet::new();
-            for key in &touched {
-                let cap = topo.link(key.0).capacity_mbps;
-                let mut new_used = 0.0;
-                let mut has_outside = false;
-                for m in &self.members[key] {
-                    new_used += new_rates.get(m).copied().unwrap_or_else(|| {
-                        has_outside = true;
-                        self.flows[m].rate
-                    });
-                }
-                if !has_outside {
-                    continue;
-                }
-                let resid = cap - new_used;
-                let lam = picked_lambda.get(key).copied();
-                let pre = pre_lambda.get(key).copied();
-                for m in &self.members[key] {
-                    if comp.contains(m) {
-                        continue;
-                    }
-                    let mf = &self.flows[m];
-                    let grow_candidate =
-                        !mf.at_demand() && pre.is_some_and(|pl| mf.rate >= pl - EPS);
-                    let squeezed = lam.is_some_and(|l| mf.rate > l + EPS);
-                    let lifted = grow_candidate && lam.is_some_and(|l| l > mf.rate + EPS);
-                    let freed = grow_candidate && resid > EPS;
-                    if squeezed || lifted || freed {
-                        joins.insert(*m);
-                    }
-                }
-            }
-            if joins.is_empty() {
-                self.stats.incremental_solves.inc();
-                self.commit(&new_rates);
-                return;
-            }
-            self.stats.expansions.inc();
-            comp.extend(joins);
-            iterations += 1;
-        }
-    }
-
-    fn commit(&mut self, new_rates: &BTreeMap<FlowId, f64>) {
-        for (id, r) in new_rates {
-            let f = self.flows.get_mut(id).expect("solved flows exist");
-            if f.rate != *r {
-                f.rate = *r;
-                self.changed.insert(*id, *r);
-            }
-        }
-    }
-
-    /// The legacy progressive water-fill, restricted to a component:
-    /// same round structure as [`max_min_allocation`] (global
-    /// demand-limited freezing first, otherwise the bottleneck link's
-    /// members freeze at the minimum share, ties to the smallest link
-    /// key), over effective capacities. Returns the new rates and the
-    /// water level at which each picked bottleneck froze.
-    #[allow(clippy::type_complexity)]
-    fn waterfill_component(
-        &self,
-        order: &[FlowId],
-        cap_eff: &BTreeMap<(LinkId, Direction), f64>,
-    ) -> (BTreeMap<FlowId, f64>, BTreeMap<(LinkId, Direction), f64>) {
-        let n = order.len();
-        let mut rates = vec![0.0f64; n];
-        let mut frozen = vec![false; n];
-        let mut remaining: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-        let mut members: BTreeMap<(LinkId, Direction), Vec<usize>> = BTreeMap::new();
-        for (i, id) in order.iter().enumerate() {
-            let f = &self.flows[id];
-            if f.links.is_empty() {
-                frozen[i] = true;
-                rates[i] = f.demand.unwrap_or(0.0);
-                continue;
-            }
-            for key in &f.links {
-                remaining.entry(*key).or_insert(cap_eff[key]);
-                members.entry(*key).or_default().push(i);
-            }
-        }
-        let mut picked_lambda: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-        for _round in 0..n + remaining.len() + 1 {
-            if frozen.iter().all(|f| *f) {
-                break;
-            }
-            let mut min_share = f64::INFINITY;
-            let mut min_key: Option<(LinkId, Direction)> = None;
-            for (key, cap) in &remaining {
-                let count = members[key].iter().filter(|&&i| !frozen[i]).count();
-                if count == 0 {
-                    continue;
-                }
-                let share = *cap / count as f64;
-                let better = match min_key {
-                    None => true,
-                    Some(k) => share < min_share || (share == min_share && *key < k),
-                };
-                if better {
-                    min_share = share;
-                    min_key = Some(*key);
-                }
-            }
-            let Some(bottleneck) = min_key else { break };
-            let demand_limited: Vec<usize> = (0..n)
-                .filter(|&i| {
-                    !frozen[i]
-                        && self.flows[&order[i]]
-                            .demand
-                            .is_some_and(|d| d <= min_share + 1e-12)
-                })
-                .collect();
-            let to_freeze: Vec<(usize, f64)> = if demand_limited.is_empty() {
-                picked_lambda.insert(bottleneck, min_share);
-                members[&bottleneck]
-                    .iter()
-                    .filter(|&&i| !frozen[i])
-                    .map(|&i| (i, min_share))
-                    .collect()
-            } else {
-                demand_limited
-                    .into_iter()
-                    .map(|i| {
-                        (
-                            i,
-                            self.flows[&order[i]]
-                                .demand
-                                .expect("checked demand-limited"),
-                        )
-                    })
-                    .collect()
-            };
-            for (i, rate) in to_freeze {
-                frozen[i] = true;
-                rates[i] = rate;
-                for key in &self.flows[&order[i]].links {
-                    if let Some(cap) = remaining.get_mut(key) {
-                        *cap = (*cap - rate).max(0.0);
-                    }
-                }
-            }
-        }
-        (order.iter().copied().zip(rates).collect(), picked_lambda)
     }
 }
 

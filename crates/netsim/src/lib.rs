@@ -8,9 +8,10 @@
 //!
 //! * a capacitated, delay-annotated [`topo::Topology`] (including the
 //!   Fig 9 testbed as [`topo::global_p4_lab`]);
-//! * **max-min fair** bandwidth sharing recomputed whenever the flow set
+//! * **max-min fair** bandwidth sharing re-solved whenever the flow set
 //!   changes ([`fairness`]), which is the steady-state behaviour of
-//!   competing TCP flows on shared bottlenecks;
+//!   competing TCP flows on shared bottlenecks — on the one canonical
+//!   water-fill engine ([`waterfill`]) the controller's optimizer shares;
 //! * first-order TCP rate convergence and a protocol-efficiency factor,
 //!   so throughput curves ramp like the paper's Fig 12 rather than
 //!   stepping instantaneously;
@@ -28,11 +29,13 @@ pub mod fairness;
 pub mod flow;
 pub mod sim;
 pub mod topo;
+pub mod waterfill;
 
-pub use fairness::{FairShareEngine, WaterfillMetrics, WaterfillStats};
+pub use fairness::FairShareEngine;
 pub use flow::{Flow, FlowId, FlowSpec};
 pub use sim::{Event, Simulation, TelemetryRecord};
 pub use topo::{LinkId, NodeIdx, Topology};
+pub use waterfill::{Waterfill, WaterfillMetrics, WaterfillStats};
 
 /// Errors from the emulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +52,9 @@ pub enum NetsimError {
     UnknownFlow(u64),
     /// Link id does not exist.
     UnknownLink(usize),
+    /// A capacity or demand that is NaN, infinite or negative (what,
+    /// value).
+    InvalidRate(&'static str, f64),
 }
 
 impl std::fmt::Display for NetsimError {
@@ -60,6 +66,7 @@ impl std::fmt::Display for NetsimError {
             NetsimError::BadPath(m) => write!(f, "bad path: {m}"),
             NetsimError::UnknownFlow(id) => write!(f, "unknown flow {id}"),
             NetsimError::UnknownLink(id) => write!(f, "unknown link {id}"),
+            NetsimError::InvalidRate(what, v) => write!(f, "invalid {what} {v} Mbps"),
         }
     }
 }

@@ -21,9 +21,10 @@
 //! the share exactly, guarded by a per-flow generation counter so
 //! stale completions are ignored.
 
-use crate::fairness::{directed_links, Direction, FairShareEngine, WaterfillStats};
+use crate::fairness::{directed_links, Direction, FairShareEngine};
 use crate::flow::{Flow, FlowId, FlowSpec};
 use crate::topo::{LinkId, NodeIdx, Topology};
+use crate::waterfill::WaterfillStats;
 use crate::NetsimError;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -224,24 +225,36 @@ impl Simulation {
 
     /// Schedules an event at an absolute time.
     ///
-    /// Flow-path events ([`Event::StartFlow`], [`Event::SetFlowPath`])
-    /// are validated against the topology *as of now*: every
-    /// consecutive pair must be adjacent over a live link, otherwise
-    /// the event is rejected with a [`NetsimError`] instead of silently
-    /// simulating an impossible path (a later link failure can still
-    /// invalidate an admitted path — that shows up as a stalled flow,
-    /// which is the physical behavior).
+    /// Everything the event hands the fair-share engine is validated
+    /// here, so a bad event is rejected with a [`NetsimError`] instead
+    /// of panicking or corrupting rates inside [`Simulation::run_until`]:
+    ///
+    /// * flow paths ([`Event::StartFlow`], [`Event::SetFlowPath`]) are
+    ///   checked against the topology *as of now*: every consecutive
+    ///   pair must be adjacent over a live link (a later link failure
+    ///   can still invalidate an admitted path — that shows up as a
+    ///   stalled flow, which is the physical behavior);
+    /// * link events name an existing link ([`NetsimError::UnknownLink`]);
+    /// * capacities and demands are finite and non-negative
+    ///   ([`NetsimError::InvalidRate`]).
     pub fn schedule(&mut self, at_ms: SimTimeMs, event: Event) -> Result<(), NetsimError> {
         match &event {
-            Event::StartFlow { path, .. } | Event::SetFlowPath(_, path) => {
+            Event::StartFlow { path, spec, .. } => {
                 // `link_between` only matches live links, so this
                 // checks both adjacency and link state.
                 self.topo.path_links(path)?;
+                check_rate("flow demand", spec.demand_mbps)?;
             }
-            Event::StopFlow(_)
-            | Event::SetLinkCapacity(_, _)
-            | Event::SetLinkUp(_, _)
-            | Event::SetFlowDemand(_, _) => {}
+            Event::SetFlowPath(_, path) => {
+                self.topo.path_links(path)?;
+            }
+            Event::SetLinkCapacity(lid, cap) => {
+                self.check_link(*lid)?;
+                check_rate("link capacity", Some(*cap))?;
+            }
+            Event::SetLinkUp(lid, _) => self.check_link(*lid)?,
+            Event::SetFlowDemand(_, demand) => check_rate("flow demand", *demand)?,
+            Event::StopFlow(_) => {}
         }
         let at = at_ms.max(self.now_ms);
         self.seq += 1;
@@ -392,7 +405,7 @@ impl Simulation {
                 self.flows.insert(id, flow);
             }
             Event::StopFlow(id) => {
-                self.engine.remove_flow(&self.topo, id);
+                self.engine.remove_flow(id);
                 if let Some(f) = self.flows.remove(&id) {
                     self.unindex_hops(&f.path, id);
                     self.quiet.remove(&id);
@@ -417,13 +430,13 @@ impl Simulation {
             Event::SetLinkCapacity(lid, cap) => {
                 if self.topo.link(lid).capacity_mbps != cap {
                     self.topo.link_mut(lid).capacity_mbps = cap;
-                    self.engine.capacity_changed(lid);
+                    self.engine.capacity_changed(&self.topo, lid);
                 }
             }
             Event::SetFlowDemand(id, demand) => {
                 if let Some(f) = self.flows.get_mut(&id) {
                     f.spec.demand_mbps = demand;
-                    self.engine.set_demand(&self.topo, id, demand);
+                    self.engine.set_demand(id, demand);
                 }
             }
             Event::SetLinkUp(lid, up) => {
@@ -450,7 +463,7 @@ impl Simulation {
     /// convergence completion queued for when the new exponential has
     /// effectively flattened.
     fn resolve_shares(&mut self) {
-        let changes = self.engine.resolve(&self.topo);
+        let changes = self.engine.resolve();
         let now = self.now_ms;
         let tau = self.tcp_tau_s;
         for (id, raw) in changes {
@@ -585,23 +598,31 @@ impl Simulation {
     /// `values` becomes the link's capacity at
     /// `start_ms + i * interval_ms`. This is how the UQ wireless traces
     /// are attached to the emulated access links in the trace-driven
-    /// steering extension.
+    /// steering extension. Negative and NaN samples clamp to 0 (via
+    /// `f64::max`); an unknown link or an infinite sample is rejected
+    /// by [`Simulation::schedule`], leaving the samples before it
+    /// queued.
     pub fn schedule_capacity_trace(
         &mut self,
         link: LinkId,
         start_ms: SimTimeMs,
         interval_ms: u64,
         values: &[f64],
-    ) {
+    ) -> Result<(), NetsimError> {
         for (i, &v) in values.iter().enumerate() {
             self.schedule(
                 start_ms + i as u64 * interval_ms,
                 Event::SetLinkCapacity(link, v.max(0.0)),
-            )
-            // detlint: allow(bare-panic) — SetLinkCapacity carries no
-            // path, so schedule's adjacency validation cannot fail; a
-            // panic here means schedule() itself changed contract.
-            .expect("capacity events are always schedulable");
+            )?;
+        }
+        Ok(())
+    }
+
+    fn check_link(&self, lid: LinkId) -> Result<(), NetsimError> {
+        if (lid.0 as usize) < self.topo.link_count() {
+            Ok(())
+        } else {
+            Err(NetsimError::UnknownLink(lid.0 as usize))
         }
     }
 
@@ -703,6 +724,14 @@ impl Simulation {
 
 fn canonical_pair(a: NodeIdx, b: NodeIdx) -> (u32, u32) {
     (a.0.min(b.0), a.0.max(b.0))
+}
+
+/// Rejects a NaN, infinite or negative rate (`None` = greedy passes).
+fn check_rate(what: &'static str, mbps: Option<f64>) -> Result<(), NetsimError> {
+    match mbps {
+        Some(v) if !(v.is_finite() && v >= 0.0) => Err(NetsimError::InvalidRate(what, v)),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -1065,7 +1094,7 @@ mod tests {
         let mut sim = Simulation::new(topo, 1);
         // capacity drops to 4 Mbps between t=10s and t=20s, then recovers
         let trace = [20.0, 4.0, 20.0];
-        sim.schedule_capacity_trace(lid, 0, 10_000, &trace);
+        sim.schedule_capacity_trace(lid, 0, 10_000, &trace).unwrap();
         let spec = greedy_spec(&sim.topo, "f1", 0);
         sim.schedule(
             0,
@@ -1085,6 +1114,60 @@ mod tests {
         assert!(high > 15.0, "high {high}");
         assert!(low < 5.0, "low {low}");
         assert!(recovered > 15.0, "recovered {recovered}");
+    }
+
+    #[test]
+    fn link_events_on_unknown_links_are_rejected() {
+        let mut sim = Simulation::new(global_p4_lab(), 1);
+        let ghost = LinkId(sim.topo.link_count() as u32);
+        let unknown = Err(NetsimError::UnknownLink(ghost.0 as usize));
+        assert_eq!(sim.schedule(0, Event::SetLinkCapacity(ghost, 5.0)), unknown);
+        assert_eq!(sim.schedule(0, Event::SetLinkUp(ghost, false)), unknown);
+        assert_eq!(sim.schedule_capacity_trace(ghost, 0, 1000, &[5.0]), unknown);
+        // Nothing was queued, so running past them cannot panic.
+        sim.run_until(2_000, 1000);
+    }
+
+    #[test]
+    fn bad_capacities_are_rejected() {
+        let mut sim = Simulation::new(global_p4_lab(), 1);
+        let lid = LinkId(0);
+        for cap in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(matches!(
+                sim.schedule(0, Event::SetLinkCapacity(lid, cap)),
+                Err(NetsimError::InvalidRate("link capacity", _))
+            ));
+        }
+        assert!(sim
+            .schedule_capacity_trace(lid, 0, 1000, &[5.0, f64::INFINITY])
+            .is_err());
+        sim.schedule(0, Event::SetLinkCapacity(lid, 0.0)).unwrap();
+    }
+
+    #[test]
+    fn bad_demands_are_rejected() {
+        let topo = global_p4_lab();
+        let path = tunnel1(&topo);
+        let mut sim = Simulation::new(topo, 1);
+        for demand in [f64::NAN, f64::NEG_INFINITY, -0.5] {
+            let mut spec = greedy_spec(&sim.topo, "f1", 0);
+            spec.demand_mbps = Some(demand);
+            let start = Event::StartFlow {
+                spec,
+                path: path.clone(),
+                id: FlowId(1),
+            };
+            assert!(matches!(
+                sim.schedule(0, start),
+                Err(NetsimError::InvalidRate("flow demand", _))
+            ));
+            assert!(matches!(
+                sim.schedule(0, Event::SetFlowDemand(FlowId(1), Some(demand))),
+                Err(NetsimError::InvalidRate("flow demand", _))
+            ));
+        }
+        sim.schedule(0, Event::SetFlowDemand(FlowId(1), None))
+            .unwrap();
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! Incremental shared-link water-fill: the million-flow control plane.
+//! The canonical max-min water-fill: the one engine behind every
+//! max-min rate in the workspace.
 //!
-//! [`crate::optimizer::assign_flows_shared`] recomputes the entire
-//! max-min matrix on every call — fine for hundreds of flows, hopeless
-//! for 100k. This module keeps a *standing* max-min solution over a
-//! [`SharedLinkModel`] and patches it: flow arrivals, departures,
-//! reroutes, demand changes and headroom changes re-water-fill only the
-//! affected links' saturation sets, mirroring the component-local
-//! re-solve `netsim::FairShareEngine` proved out for the event core.
-//! The full recompute stays available as the audited fallback
-//! ([`SharedWaterfill::full_rates`] / [`SharedWaterfill::audit`]).
+//! Links are dense indices with a headroom each; flows are caller-chosen
+//! `u64` ids, each registered with its own link list. The simulator's
+//! [`crate::FairShareEngine`] registers a path's directed links
+//! (`2·link + direction`), the controller a tunnel's links, and
+//! [`max_min_rates`] runs one from-scratch fill over scratch input (the
+//! one-shot [`crate::fairness::max_min_allocation`] and the optimizer's
+//! placement scoring).
+//!
+//! A [`Waterfill`] keeps a *standing* max-min solution and patches it:
+//! flow arrivals, departures, reroutes, demand changes and headroom
+//! changes re-water-fill only the affected links' saturation sets. The
+//! full recompute stays available as the audited reference
+//! ([`Waterfill::full_rates`] / [`Waterfill::audit`]).
 //!
 //! # The bit-identity contract
 //!
-//! Unlike the netsim engine (which pins incremental ≡ full only to a
-//! float tolerance), this engine is *canonical*: every committed rate
-//! is a pure function of the saturation structure, independent of how
-//! the solver got there.
+//! The fill is *canonical*: every committed rate is a pure function of
+//! the saturation structure, independent of how the solver got there.
 //!
 //! * Per-round link shares are always computed fresh as
 //!   `(headroom − Σ determined member rates) / active count`, with the
@@ -46,8 +49,7 @@
 //! flows, and every solve walks the touched links' full member sets
 //! (the canonical sums above demand it). Pointer-chasing a
 //! `BTreeSet<u64>` per member and a `BTreeMap` per rate lookup put a
-//! ~100 ns constant on each visit — the difference between a sub-ms
-//! and a 100 ms tick. So flows live in a dense slot arena
+//! ~100 ns constant on each visit. So flows live in a dense slot arena
 //! (`ids: id → slot` is consulted once per *event*, never per member)
 //! and each link's member list is a flow-id-sorted `Vec<(id, slot)>`:
 //! every canonical walk is a contiguous scan with indexed loads, and
@@ -57,8 +59,6 @@
 //! common squeeze converges in one restricted solve instead of paying
 //! a full expansion iteration to discover those peers.
 
-use crate::optimizer::SharedLinkModel;
-use netsim::{WaterfillMetrics, WaterfillStats};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Slack margin for the *fast-path gates only* (never for rates): a
@@ -69,14 +69,74 @@ const EPS: f64 = 1e-9;
 /// Restricted-solve iterations before escalating to the full flow set.
 const MAX_EXPANSIONS: usize = 8;
 
-/// Demand-limited freeze tolerance inside the fill, identical to the
-/// legacy progressive water-fill's freeze test so both describe the
-/// same structure.
+/// Demand-limited freeze tolerance inside the fill: a flow whose demand
+/// is within this of the round's water level freezes at its demand.
 const DEMAND_TOL: f64 = 1e-12;
 
-#[derive(Debug, Clone)]
+/// Audit counters for the incremental fill: how often the restricted
+/// solve sufficed versus escalating to a full water-fill.
+///
+/// This is a point-in-time *snapshot* of [`WaterfillMetrics`] — the
+/// live storage is `obsv` counters, shared with any attached metrics
+/// registry; this plain struct remains the stable accessor type.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WaterfillStats {
+    /// Restricted (component-local) solves that converged.
+    pub incremental_solves: u64,
+    /// Solves that escalated to the full flow set (audited fallback).
+    pub full_solves: u64,
+    /// Component-expansion iterations across all solves.
+    pub expansions: u64,
+    /// Events absorbed with no water-fill at all (e.g. a demand-limited
+    /// arrival onto links with spare capacity).
+    pub fast_path_events: u64,
+}
+
+/// The live audit instruments behind [`WaterfillStats`]: `obsv`
+/// counters, so a scenario's metrics registry can watch the engine
+/// without the engine knowing about snapshots or epochs.
+#[derive(Debug, Clone, Default)]
+pub struct WaterfillMetrics {
+    /// Restricted solves that converged.
+    pub incremental_solves: obsv::Counter,
+    /// Escalations to the full flow set.
+    pub full_solves: obsv::Counter,
+    /// Component-expansion iterations.
+    pub expansions: obsv::Counter,
+    /// Events absorbed with no water-fill.
+    pub fast_path_events: obsv::Counter,
+}
+
+impl WaterfillMetrics {
+    /// Current values as a plain struct.
+    pub fn snapshot(&self) -> WaterfillStats {
+        WaterfillStats {
+            incremental_solves: self.incremental_solves.get(),
+            full_solves: self.full_solves.get(),
+            expansions: self.expansions.get(),
+            fast_path_events: self.fast_path_events.get(),
+        }
+    }
+
+    /// Exposes the live counters in `registry` under
+    /// `{prefix}.{field}` (e.g. `netsim.waterfill.expansions`).
+    pub fn register(&self, registry: &obsv::Registry, prefix: &str) {
+        registry.adopt_counter(
+            &format!("{prefix}.incremental_solves"),
+            &self.incremental_solves,
+        );
+        registry.adopt_counter(&format!("{prefix}.full_solves"), &self.full_solves);
+        registry.adopt_counter(&format!("{prefix}.expansions"), &self.expansions);
+        registry.adopt_counter(
+            &format!("{prefix}.fast_path_events"),
+            &self.fast_path_events,
+        );
+    }
+}
+
+#[derive(Debug, Clone, Default)]
 struct WfFlow {
-    tunnel: usize,
+    links: Vec<usize>,
     demand: Option<f64>,
     rate: f64,
 }
@@ -89,17 +149,34 @@ impl WfFlow {
     }
 }
 
-/// A standing incremental max-min solution over a [`SharedLinkModel`].
+/// One from-scratch canonical fill over scratch input: flow `i` crosses
+/// the links of the `i`-th item (indices into `headroom`) and offers
+/// its demand (`None` = greedy). Returns one rate per flow, in input
+/// order — the same bits a [`Waterfill`] holding these flows under ids
+/// `0, 1, …` settles on.
+///
+/// # Panics
+/// Panics when a link index is out of range (wiring bug).
+pub fn max_min_rates<'a>(
+    headroom: &[f64],
+    flows: impl IntoIterator<Item = (&'a [usize], Option<f64>)>,
+) -> Vec<f64> {
+    let mut wf = Waterfill::new(headroom.to_vec());
+    for (i, (links, demand)) in flows.into_iter().enumerate() {
+        wf.attach(i as u64, links, demand, 0.0);
+    }
+    wf.full_rates().into_iter().map(|(_, r)| r).collect()
+}
+
+/// A standing incremental max-min solution over dense links.
 ///
 /// Flows are identified by caller-chosen `u64` ids (sorted iteration
-/// order is the determinism contract). Tunnels and links are the
-/// model's indices; the model's `headroom` seeds the engine's and can
-/// be patched per-link afterwards with
-/// [`SharedWaterfill::set_headroom`].
-#[derive(Debug)]
-pub struct SharedWaterfill {
+/// order is the determinism contract) and each carries its own link
+/// list. The headroom handed to [`Waterfill::new`] can be patched
+/// per-link afterwards with [`Waterfill::set_headroom`].
+#[derive(Debug, Default)]
+pub struct Waterfill {
     headroom: Vec<f64>,
-    tunnel_links: Vec<Vec<usize>>,
     /// Flow id → arena slot; the only per-event map lookup.
     ids: BTreeMap<u64, u32>,
     /// Dense flow arena; freed slots are recycled via `free`.
@@ -109,7 +186,9 @@ pub struct SharedWaterfill {
     /// summation order, walked contiguously.
     members: Vec<Vec<(u64, u32)>>,
     seeds: BTreeSet<u64>,
-    changed: BTreeMap<u64, f64>,
+    /// Rate each flow held before its first change since the last
+    /// resolve (0 for arrivals) — what `resolve` reports against.
+    before: BTreeMap<u64, f64>,
     /// Cached Σ member rates per link (flow-id order), for the O(1)
     /// fast-path residual gate. Recomputed canonically on read when
     /// dirty — never drifts.
@@ -126,11 +205,9 @@ pub struct SharedWaterfill {
 /// What one restricted fill produced, alongside the pre-solve link
 /// statistics its build walk collected for free.
 struct FillOutcome {
-    /// `(flow, rate)` for the solved set, flow-id order.
-    rates: BTreeMap<u64, f64>,
     /// Links picked as bottlenecks, with their frozen share.
     picked: BTreeMap<usize, f64>,
-    /// The same rates by `order` position, for O(1) overlay lookups.
+    /// The solved rates by `order` position.
     by_pos: Vec<f64>,
     /// Per touched link: pre-solve `(Σ member rates, max member rate)`
     /// — the canonical id-order sum and the water-level anchor, both
@@ -138,23 +215,16 @@ struct FillOutcome {
     pre: BTreeMap<usize, (f64, f64)>,
 }
 
-impl SharedWaterfill {
-    /// A fresh engine over the model's links and tunnels, no flows yet.
-    pub fn new(model: &SharedLinkModel) -> Self {
-        let links = model.headroom.len();
-        SharedWaterfill {
-            headroom: model.headroom.clone(),
-            tunnel_links: model.tunnel_links.clone(),
-            ids: BTreeMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
+impl Waterfill {
+    /// A fresh engine over `headroom.len()` links, no flows yet.
+    pub fn new(headroom: Vec<f64>) -> Self {
+        let links = headroom.len();
+        Waterfill {
+            headroom,
             members: vec![Vec::new(); links],
-            seeds: BTreeSet::new(),
-            changed: BTreeMap::new(),
             used_cache: vec![0.0; links],
             used_dirty: vec![false; links],
-            scratch_pos: Vec::new(),
-            stats: WaterfillMetrics::default(),
+            ..Self::default()
         }
     }
 
@@ -163,17 +233,21 @@ impl SharedWaterfill {
         self.headroom.len()
     }
 
-    /// Number of tunnels.
-    pub fn tunnel_count(&self) -> usize {
-        self.tunnel_links.len()
+    /// Appends a link with `headroom`, returning its index.
+    pub fn add_link(&mut self, headroom: f64) -> usize {
+        self.headroom.push(headroom);
+        self.members.push(Vec::new());
+        self.used_cache.push(0.0);
+        self.used_dirty.push(false);
+        self.headroom.len() - 1
     }
 
-    /// Number of managed flows.
+    /// Number of flows.
     pub fn flow_count(&self) -> usize {
         self.ids.len()
     }
 
-    /// Registers a flow on `tunnel`. `demand: None` = greedy.
+    /// Registers a flow crossing `links`. `demand: None` = greedy.
     /// Re-inserting an existing id replaces it.
     ///
     /// Fast path, proven exact by the max-min certificate: a
@@ -183,60 +257,26 @@ impl SharedWaterfill {
     /// its demand — the same bits a solve would assign.
     ///
     /// # Panics
-    /// Panics when `tunnel` is out of range — a wiring bug, like
-    /// handing `with_tunnel_caps` the wrong cap count.
-    pub fn insert(&mut self, id: u64, tunnel: usize, demand: Option<f64>) {
-        assert!(
-            tunnel < self.tunnel_links.len(),
-            "tunnel index out of range"
-        );
+    /// Panics when a link index is out of range (wiring bug).
+    pub fn insert(&mut self, id: u64, links: &[usize], demand: Option<f64>) {
+        self.check_links(links);
         if self.ids.contains_key(&id) {
             self.remove(id);
         }
-        let links = self.tunnel_links[tunnel].clone();
         let fast = demand.is_some_and(|d| links.iter().all(|&l| self.residual(l) > d + EPS));
-        let rate = if fast {
+        if fast {
             // detlint: allow(bare-panic) — `fast` implies `demand.is_some()` one line up.
-            demand.expect("fast implies demand")
+            let rate = demand.expect("fast implies demand");
+            self.attach(id, links, demand, rate);
+            self.stats.fast_path_events.inc();
+            self.before.entry(id).or_insert(0.0);
         } else {
-            0.0
-        };
-        if !fast {
             // Pre-seed the squeeze: an arrival that will contend on a
             // saturated link pulls that link's at-level peers into the
             // same solve, so the restricted solve converges without an
             // expansion iteration discovering them.
-            self.level_seeds(&links, id);
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = WfFlow {
-                    tunnel,
-                    demand,
-                    rate,
-                };
-                s
-            }
-            None => {
-                self.slots.push(WfFlow {
-                    tunnel,
-                    demand,
-                    rate,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        for &l in &links {
-            let mem = &mut self.members[l];
-            let pos = mem.partition_point(|&(m, _)| m < id);
-            mem.insert(pos, (id, slot));
-            self.used_dirty[l] = true;
-        }
-        self.ids.insert(id, slot);
-        if fast {
-            self.stats.fast_path_events.inc();
-            self.changed.insert(id, rate);
-        } else {
+            self.level_seeds(links, id);
+            self.attach(id, links, demand, 0.0);
             self.seeds.insert(id);
         }
     }
@@ -245,70 +285,49 @@ impl SharedWaterfill {
     /// capacity it releases. A zero-rate departure releases nothing and
     /// skips the solve — the departure fast path.
     pub fn remove(&mut self, id: u64) {
-        let Some(slot) = self.ids.get(&id).copied() else {
+        let Some(slot) = self.ids.remove(&id) else {
             return;
         };
-        let f = self.slots[slot as usize].clone();
-        let links = self.tunnel_links[f.tunnel].clone();
-        if f.rate > 0.0 {
+        let links = std::mem::take(&mut self.slots[slot as usize].links);
+        if self.slots[slot as usize].rate > 0.0 {
             self.level_seeds(&links, id);
         } else {
             self.stats.fast_path_events.inc();
         }
-        for &l in &links {
-            let mem = &mut self.members[l];
-            if let Ok(pos) = mem.binary_search_by_key(&id, |&(m, _)| m) {
-                mem.remove(pos);
-            }
-            self.used_dirty[l] = true;
-        }
-        self.ids.remove(&id);
+        self.detach(id, &links);
         self.free.push(slot);
         self.seeds.remove(&id);
-        self.changed.remove(&id);
+        self.before.remove(&id);
     }
 
-    /// Reroutes a flow onto a new tunnel, seeding both the release side
-    /// and the flow itself.
+    /// Reroutes a flow onto `links`, seeding both the release side and
+    /// the flow itself. An unchanged link list is a no-op.
     ///
     /// # Panics
-    /// Panics when `tunnel` is out of range (wiring bug).
-    pub fn set_tunnel(&mut self, id: u64, tunnel: usize) {
-        assert!(
-            tunnel < self.tunnel_links.len(),
-            "tunnel index out of range"
-        );
+    /// Panics when a link index is out of range (wiring bug).
+    pub fn set_links(&mut self, id: u64, links: &[usize]) {
+        self.check_links(links);
         let Some(slot) = self.ids.get(&id).copied() else {
             return;
         };
-        let f = self.slots[slot as usize].clone();
-        if f.tunnel == tunnel {
+        if self.slots[slot as usize].links == links {
             return;
         }
-        let old_links = self.tunnel_links[f.tunnel].clone();
-        if f.rate > 0.0 {
+        let old_links = std::mem::take(&mut self.slots[slot as usize].links);
+        let old_rate = self.slots[slot as usize].rate;
+        if old_rate > 0.0 {
             self.level_seeds(&old_links, id);
         }
-        for &l in &old_links {
-            let mem = &mut self.members[l];
-            if let Ok(pos) = mem.binary_search_by_key(&id, |&(m, _)| m) {
-                mem.remove(pos);
-            }
-            self.used_dirty[l] = true;
-        }
-        let new_links = self.tunnel_links[tunnel].clone();
+        self.detach(id, &old_links);
         // Pre-seed the landing side's at-level peers too — the arrival
-        // squeeze, same as a fresh insert on a saturated tunnel.
-        self.level_seeds(&new_links, id);
-        for &l in &new_links {
-            let mem = &mut self.members[l];
-            let pos = mem.partition_point(|&(m, _)| m < id);
-            mem.insert(pos, (id, slot));
-            self.used_dirty[l] = true;
-        }
+        // squeeze, same as a fresh insert on a saturated path.
+        self.level_seeds(links, id);
+        self.join(id, slot, links);
+        // The flow re-enters the fill from zero, like an arrival.
         let f = &mut self.slots[slot as usize];
-        f.tunnel = tunnel;
+        f.links = links.to_vec();
         f.rate = 0.0;
+        self.before.entry(id).or_insert(old_rate);
         self.seeds.insert(id);
     }
 
@@ -324,9 +343,11 @@ impl SharedWaterfill {
         if self.slots[slot as usize].demand == demand {
             return;
         }
-        let links = self.tunnel_links[self.slots[slot as usize].tunnel].clone();
+        let links = std::mem::take(&mut self.slots[slot as usize].links);
         self.level_seeds(&links, id);
-        self.slots[slot as usize].demand = demand;
+        let f = &mut self.slots[slot as usize];
+        f.links = links;
+        f.demand = demand;
         self.seeds.insert(id);
     }
 
@@ -356,7 +377,13 @@ impl SharedWaterfill {
         if !comp.is_empty() {
             self.solve(comp);
         }
-        std::mem::take(&mut self.changed).into_iter().collect()
+        std::mem::take(&mut self.before)
+            .into_iter()
+            .filter_map(|(id, was)| {
+                let now = self.rate(id)?;
+                (now != was).then_some((id, now))
+            })
+            .collect()
     }
 
     /// Current rate of a flow.
@@ -364,10 +391,12 @@ impl SharedWaterfill {
         self.ids.get(&id).map(|&s| self.slots[s as usize].rate)
     }
 
-    /// The tunnel a flow currently sits on (for diff-patching a
-    /// standing engine against a freshly decided placement).
-    pub fn tunnel_of(&self, id: u64) -> Option<usize> {
-        self.ids.get(&id).map(|&s| self.slots[s as usize].tunnel)
+    /// The links a flow currently crosses (for diff-patching a standing
+    /// engine against a freshly decided placement).
+    pub fn links_of(&self, id: u64) -> Option<&[usize]> {
+        self.ids
+            .get(&id)
+            .map(|&s| self.slots[s as usize].links.as_slice())
     }
 
     /// A flow's current elastic demand (`Some(None)` = present and
@@ -384,23 +413,23 @@ impl SharedWaterfill {
             .collect()
     }
 
-    /// The audited fallback: a from-scratch canonical water-fill over
+    /// The audited reference: a from-scratch canonical water-fill over
     /// every flow, ignoring (and not touching) the standing solution.
-    /// [`SharedWaterfill::resolve`] must always land on exactly these
-    /// bits — that is the incremental ≡ recompute contract.
+    /// [`Waterfill::resolve`] must always land on exactly these bits —
+    /// that is the incremental ≡ recompute contract.
     pub fn full_rates(&self) -> Vec<(u64, f64)> {
         let order: Vec<u64> = self.ids.keys().copied().collect();
-        let order_slots: Vec<u32> = order.iter().map(|id| self.ids[id]).collect();
+        let order_slots: Vec<u32> = self.ids.values().copied().collect();
         let mut pos = vec![-1i32; self.slots.len()];
         for (i, &s) in order_slots.iter().enumerate() {
             pos[s as usize] = i as i32;
         }
-        let out = self.fill(&order, &order_slots, &pos);
-        out.rates.into_iter().collect()
+        let out = self.fill(&order_slots, &pos);
+        order.into_iter().zip(out.by_pos).collect()
     }
 
     /// `true` when the standing solution equals the full recompute bit
-    /// for bit. Call after [`SharedWaterfill::resolve`].
+    /// for bit. Call after [`Waterfill::resolve`].
     pub fn audit(&self) -> bool {
         self.rates()
             .into_iter()
@@ -409,15 +438,65 @@ impl SharedWaterfill {
     }
 
     /// Audit counters (a snapshot; the live instruments are
-    /// [`SharedWaterfill::metrics`]).
+    /// [`Waterfill::metrics`]).
     pub fn stats(&self) -> WaterfillStats {
         self.stats.snapshot()
     }
 
-    /// The live `obsv` instruments — register under
-    /// `framework.waterfill.incremental` via [`WaterfillMetrics::register`].
+    /// The live `obsv` instruments — expose them via
+    /// [`WaterfillMetrics::register`].
     pub fn metrics(&self) -> &WaterfillMetrics {
         &self.stats
+    }
+
+    fn check_links(&self, links: &[usize]) {
+        assert!(
+            links.iter().all(|&l| l < self.headroom.len()),
+            "link index out of range"
+        );
+    }
+
+    /// Stores a flow in a (recycled) slot and joins its links' member
+    /// lists at its id position; no seeding, no solve.
+    fn attach(&mut self, id: u64, links: &[usize], demand: Option<f64>, rate: f64) {
+        let flow = WfFlow {
+            links: links.to_vec(),
+            demand,
+            rate,
+        };
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = flow;
+                s
+            }
+            None => {
+                self.slots.push(flow);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.join(id, slot, links);
+        self.ids.insert(id, slot);
+    }
+
+    /// Adds `(id, slot)` to the member lists of `links` at its id position.
+    fn join(&mut self, id: u64, slot: u32, links: &[usize]) {
+        for &l in links {
+            let mem = &mut self.members[l];
+            let pos = mem.partition_point(|&(m, _)| m < id);
+            mem.insert(pos, (id, slot));
+            self.used_dirty[l] = true;
+        }
+    }
+
+    /// Drops `id` from the member lists of `links`.
+    fn detach(&mut self, id: u64, links: &[usize]) {
+        for &l in links {
+            let mem = &mut self.members[l];
+            if let Ok(pos) = mem.binary_search_by_key(&id, |&(m, _)| m) {
+                mem.remove(pos);
+            }
+            self.used_dirty[l] = true;
+        }
     }
 
     /// Remaining capacity of `link` under current rates. Canonical on
@@ -482,13 +561,10 @@ impl SharedWaterfill {
             for (i, &s) in order_slots.iter().enumerate() {
                 self.scratch_pos[s as usize] = i as i32;
             }
-            let out = self.fill(&order, &order_slots, &self.scratch_pos);
+            let out = self.fill(&order_slots, &self.scratch_pos);
             if full {
                 self.stats.full_solves.inc();
-                self.commit(&out.rates);
-                for &s in &order_slots {
-                    self.scratch_pos[s as usize] = -1;
-                }
+                self.commit(&order, &order_slots, &out.by_pos);
                 return;
             }
             // Per-link rate delta of the solved set, for the O(comp)
@@ -498,7 +574,7 @@ impl SharedWaterfill {
             for (i, &s) in order_slots.iter().enumerate() {
                 let f = &self.slots[s as usize];
                 let d = out.by_pos[i] - f.rate;
-                for &l in &self.tunnel_links[f.tunnel] {
+                for &l in &f.links {
                     *delta.entry(l).or_insert(0.0) += d;
                 }
             }
@@ -572,10 +648,7 @@ impl SharedWaterfill {
             }
             if joins.is_empty() {
                 self.stats.incremental_solves.inc();
-                self.commit(&out.rates);
-                for &s in &order_slots {
-                    self.scratch_pos[s as usize] = -1;
-                }
+                self.commit(&order, &order_slots, &out.by_pos);
                 return;
             }
             self.stats.expansions.inc();
@@ -584,35 +657,36 @@ impl SharedWaterfill {
         }
     }
 
-    fn commit(&mut self, new_rates: &BTreeMap<u64, f64>) {
-        for (id, r) in new_rates {
-            // detlint: allow(bare-panic) — the fill only rates flows it was handed.
-            let slot = *self.ids.get(id).expect("solved flows exist");
+    /// Writes a solve's rates back and resets the position scratch.
+    fn commit(&mut self, order: &[u64], order_slots: &[u32], rates: &[f64]) {
+        for ((&id, &slot), &r) in order.iter().zip(order_slots).zip(rates) {
+            self.scratch_pos[slot as usize] = -1;
             let f = &mut self.slots[slot as usize];
-            if f.rate != *r {
-                f.rate = *r;
-                self.changed.insert(*id, *r);
-                for &l in &self.tunnel_links[f.tunnel] {
+            if f.rate != r {
+                self.before.entry(id).or_insert(f.rate);
+                f.rate = r;
+                for &l in &f.links {
                     self.used_dirty[l] = true;
                 }
             }
         }
     }
 
-    /// The canonical water-fill restricted to `order` (every other
-    /// flow's rate is pinned): global demand-limited freezing first,
-    /// otherwise the bottleneck link's active members freeze at the
-    /// minimum share, ties to the smallest link index. Per-round link
-    /// shares are recomputed fresh from the full member set in flow-id
-    /// order — see the module docs for why that makes the result a
-    /// pure function of the saturation structure. Between rounds each
-    /// link's `(used, active)` is cached and re-summed only when one of
-    /// its members froze, which is bit-identical to re-summing every
-    /// round (no member state changed means the same walk yields the
-    /// same bits) and turns the per-round cost from O(all touched
-    /// members) into O(members of links whose state moved).
-    fn fill(&self, order: &[u64], order_slots: &[u32], pos: &[i32]) -> FillOutcome {
-        let n = order.len();
+    /// The canonical water-fill restricted to the flows in
+    /// `order_slots` (every other flow's rate is pinned): global
+    /// demand-limited freezing first, otherwise the bottleneck link's
+    /// active members freeze at the minimum share, ties to the smallest
+    /// link index. Per-round link shares are recomputed fresh from the
+    /// full member set in flow-id order — see the module docs for why
+    /// that makes the result a pure function of the saturation
+    /// structure. Between rounds each link's `(used, active)` is cached
+    /// and re-summed only when one of its members froze, which is
+    /// bit-identical to re-summing every round (no member state changed
+    /// means the same walk yields the same bits) and turns the
+    /// per-round cost from O(all touched members) into O(members of
+    /// links whose state moved).
+    fn fill(&self, order_slots: &[u32], pos: &[i32]) -> FillOutcome {
+        let n = order_slots.len();
         let mut rates = vec![0.0f64; n];
         let mut frozen = vec![false; n];
         // Per touched link: members in id order, inside flows by
@@ -628,21 +702,16 @@ impl SharedWaterfill {
             active: usize,
             dirty: bool,
         }
-        // The tunnel (hence link set) of each inside flow, for dirtying
-        // its links when it freezes.
-        let mut flow_tunnel = vec![0usize; n];
         let mut links: BTreeMap<usize, LinkState> = BTreeMap::new();
         let mut pre: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
         for (i, &slot) in order_slots.iter().enumerate() {
             let f = &self.slots[slot as usize];
-            flow_tunnel[i] = f.tunnel;
-            let tunnel_links = &self.tunnel_links[f.tunnel];
-            if tunnel_links.is_empty() {
+            if f.links.is_empty() {
                 frozen[i] = true;
                 rates[i] = f.demand.unwrap_or(0.0);
                 continue;
             }
-            for &l in tunnel_links {
+            for &l in &f.links {
                 if links.contains_key(&l) {
                     continue;
                 }
@@ -719,44 +788,33 @@ impl SharedWaterfill {
             }
             let Some(bottleneck) = min_link else { break };
             let mut froze: Vec<usize> = Vec::new();
-            let demand_limited: Vec<usize> = (0..n)
-                .filter(|&i| {
-                    !frozen[i]
-                        && self.slots[order_slots[i] as usize]
-                            .demand
-                            .is_some_and(|d| d <= min_share + DEMAND_TOL)
-                })
-                .collect();
-            if demand_limited.is_empty() {
-                picked.insert(bottleneck, min_share);
-                // Collecting first releases the `links` borrow before
-                // the dirtying pass below.
-                let at_bottleneck: Vec<usize> = links[&bottleneck]
-                    .mem
-                    .iter()
-                    .filter_map(|m| match m {
-                        Member::In(pos) if !frozen[*pos] => Some(*pos),
-                        _ => None,
-                    })
-                    .collect();
-                for pos in at_bottleneck {
-                    frozen[pos] = true;
-                    rates[pos] = min_share;
-                    froze.push(pos);
+            for i in 0..n {
+                if frozen[i] {
+                    continue;
                 }
-            } else {
-                for i in demand_limited {
-                    frozen[i] = true;
-                    rates[i] = self.slots[order_slots[i] as usize]
-                        .demand
-                        // detlint: allow(bare-panic) — membership required demand above.
-                        .expect("checked demand-limited");
-                    froze.push(i);
+                if let Some(d) = self.slots[order_slots[i] as usize].demand {
+                    if d <= min_share + DEMAND_TOL {
+                        frozen[i] = true;
+                        rates[i] = d;
+                        froze.push(i);
+                    }
+                }
+            }
+            if froze.is_empty() {
+                picked.insert(bottleneck, min_share);
+                for m in &links[&bottleneck].mem {
+                    if let Member::In(pos) = m {
+                        if !frozen[*pos] {
+                            frozen[*pos] = true;
+                            rates[*pos] = min_share;
+                            froze.push(*pos);
+                        }
+                    }
                 }
             }
             unfrozen -= froze.len();
             for i in froze {
-                for l in &self.tunnel_links[flow_tunnel[i]] {
+                for l in &self.slots[order_slots[i] as usize].links {
                     if let Some(ls) = links.get_mut(l) {
                         ls.dirty = true;
                     }
@@ -764,7 +822,6 @@ impl SharedWaterfill {
             }
         }
         FillOutcome {
-            rates: order.iter().copied().zip(rates.iter().copied()).collect(),
             picked,
             by_pos: rates,
             pre,
@@ -775,22 +832,20 @@ impl SharedWaterfill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::SharedLinkModel;
 
-    /// Two pairs, two tunnels each; tunnels 1 and 2 share link 2.
-    fn model() -> SharedLinkModel {
-        SharedLinkModel::new(
-            vec![20.0, 10.0, 10.0, 20.0, 10.0],
-            vec![vec![0], vec![1, 2], vec![2, 3], vec![4]],
-            vec![vec![0, 1], vec![2, 3]],
-        )
+    /// Tunnels of two pairs over five links; tunnels 1 and 2 share
+    /// link 2.
+    const TUNNELS: [&[usize]; 4] = [&[0], &[1, 2], &[2, 3], &[4]];
+
+    fn engine() -> Waterfill {
+        Waterfill::new(vec![20.0, 10.0, 10.0, 20.0, 10.0])
     }
 
     #[test]
     fn greedy_flows_split_a_shared_link() {
-        let mut wf = SharedWaterfill::new(&model());
-        wf.insert(1, 1, None);
-        wf.insert(2, 2, None);
+        let mut wf = engine();
+        wf.insert(1, TUNNELS[1], None);
+        wf.insert(2, TUNNELS[2], None);
         let rates: BTreeMap<u64, f64> = wf.resolve().into_iter().collect();
         assert_eq!(rates[&1], 5.0);
         assert_eq!(rates[&2], 5.0);
@@ -799,8 +854,8 @@ mod tests {
 
     #[test]
     fn demand_limited_arrival_takes_the_fast_path() {
-        let mut wf = SharedWaterfill::new(&model());
-        wf.insert(1, 0, Some(3.0));
+        let mut wf = engine();
+        wf.insert(1, TUNNELS[0], Some(3.0));
         assert_eq!(wf.resolve(), vec![(1, 3.0)]);
         assert_eq!(wf.stats().fast_path_events, 1);
         assert_eq!(wf.stats().incremental_solves + wf.stats().full_solves, 0);
@@ -809,9 +864,9 @@ mod tests {
 
     #[test]
     fn departure_releases_capacity_to_the_level_peers() {
-        let mut wf = SharedWaterfill::new(&model());
-        wf.insert(1, 1, None);
-        wf.insert(2, 2, None);
+        let mut wf = engine();
+        wf.insert(1, TUNNELS[1], None);
+        wf.insert(2, TUNNELS[2], None);
         wf.resolve();
         wf.remove(1);
         let rates: BTreeMap<u64, f64> = wf.resolve().into_iter().collect();
@@ -821,9 +876,9 @@ mod tests {
 
     #[test]
     fn demand_ramp_patches_in_place() {
-        let mut wf = SharedWaterfill::new(&model());
-        wf.insert(1, 1, Some(2.0));
-        wf.insert(2, 2, None);
+        let mut wf = engine();
+        wf.insert(1, TUNNELS[1], Some(2.0));
+        wf.insert(2, TUNNELS[2], None);
         wf.resolve();
         assert_eq!(wf.rate(1), Some(2.0));
         assert_eq!(wf.rate(2), Some(8.0));
@@ -843,11 +898,11 @@ mod tests {
 
     #[test]
     fn reroute_moves_the_contention() {
-        let mut wf = SharedWaterfill::new(&model());
-        wf.insert(1, 1, None);
-        wf.insert(2, 2, None);
+        let mut wf = engine();
+        wf.insert(1, TUNNELS[1], None);
+        wf.insert(2, TUNNELS[2], None);
         wf.resolve();
-        wf.set_tunnel(1, 0);
+        wf.set_links(1, TUNNELS[0]);
         let rates: BTreeMap<u64, f64> = wf.resolve().into_iter().collect();
         assert_eq!(rates[&1], 20.0);
         assert_eq!(rates[&2], 10.0);
@@ -855,10 +910,21 @@ mod tests {
     }
 
     #[test]
+    fn reroute_onto_a_starved_link_reports_the_drop() {
+        let mut wf = engine();
+        wf.insert(1, TUNNELS[0], None);
+        wf.resolve();
+        wf.set_headroom(4, 0.0);
+        wf.set_links(1, TUNNELS[3]);
+        assert_eq!(wf.resolve(), vec![(1, 0.0)]);
+        assert!(wf.audit());
+    }
+
+    #[test]
     fn headroom_change_reflows_members() {
-        let mut wf = SharedWaterfill::new(&model());
-        wf.insert(1, 1, None);
-        wf.insert(2, 2, None);
+        let mut wf = engine();
+        wf.insert(1, TUNNELS[1], None);
+        wf.insert(2, TUNNELS[2], None);
         wf.resolve();
         wf.set_headroom(2, 4.0);
         let rates: BTreeMap<u64, f64> = wf.resolve().into_iter().collect();
@@ -869,24 +935,21 @@ mod tests {
 
     #[test]
     fn no_link_is_oversubscribed() {
-        let mut wf = SharedWaterfill::new(&model());
+        let mut wf = engine();
         for id in 0..12u64 {
-            wf.insert(
-                id,
-                (id % 4) as usize,
-                if id % 3 == 0 { None } else { Some(1.5) },
-            );
+            let demand = if id % 3 == 0 { None } else { Some(1.5) };
+            wf.insert(id, TUNNELS[(id % 4) as usize], demand);
         }
         wf.resolve();
         let mut used = [0.0f64; 5];
         for (id, r) in wf.rates() {
-            for &l in &model().tunnel_links[(id % 4) as usize] {
+            for &l in TUNNELS[(id % 4) as usize] {
                 used[l] += r;
             }
         }
         for (l, u) in used.iter().enumerate() {
             assert!(
-                *u <= model().headroom[l] + 1e-6,
+                u <= &(engine().headroom[l] + 1e-6),
                 "link {l} oversubscribed: {u}"
             );
         }
@@ -897,17 +960,33 @@ mod tests {
     fn slot_recycling_survives_churn() {
         // Arena slots are recycled through the free list; a departing
         // id must never alias a survivor's rate or membership.
-        let mut wf = SharedWaterfill::new(&model());
-        wf.insert(1, 1, None);
-        wf.insert(2, 2, None);
+        let mut wf = engine();
+        wf.insert(1, TUNNELS[1], None);
+        wf.insert(2, TUNNELS[2], None);
         wf.resolve();
         wf.remove(1);
-        wf.insert(3, 1, Some(2.0));
+        wf.insert(3, TUNNELS[1], Some(2.0));
         wf.resolve();
         assert_eq!(wf.rate(1), None);
         assert_eq!(wf.rate(3), Some(2.0));
-        assert_eq!(wf.tunnel_of(3), Some(1));
+        assert_eq!(wf.links_of(3), Some(TUNNELS[1]));
         assert_eq!(wf.flow_count(), 2);
         assert!(wf.audit());
+    }
+
+    #[test]
+    fn scratch_fill_matches_the_standing_engine() {
+        let flows: Vec<(&[usize], Option<f64>)> = (0..9u64)
+            .map(|i| (TUNNELS[(i % 4) as usize], (i % 2 == 0).then_some(2.5)))
+            .collect();
+        let scratch = max_min_rates(&engine().headroom, flows.iter().copied());
+        let mut wf = engine();
+        for (i, &(links, demand)) in flows.iter().enumerate() {
+            wf.insert(i as u64, links, demand);
+        }
+        wf.resolve();
+        let standing: Vec<u64> = wf.rates().iter().map(|(_, r)| r.to_bits()).collect();
+        let scratch: Vec<u64> = scratch.iter().map(|r| r.to_bits()).collect();
+        assert_eq!(standing, scratch);
     }
 }

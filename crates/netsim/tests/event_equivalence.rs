@@ -11,8 +11,9 @@
 //! by dedicated unit tests in `sim.rs`, not here. Because
 //! `(1 - alpha)^k` with `alpha = 1 - exp(-dt/tau)` is exactly
 //! `exp(-k*dt/tau)`, the two cores agree to float rounding; the 1e-6
-//! tolerance absorbs the event core's incremental water-fill and its
-//! convergence snap (<= 1e-9 Mbps).
+//! tolerance absorbs that rounding and the event core's convergence
+//! snap (<= 1e-9 Mbps). Both cores water-fill on the same canonical
+//! engine (the oracle via [`max_min_allocation`]).
 
 use netsim::fairness::{directed_links, max_min_allocation, AllocFlow};
 use netsim::topo::mesh;

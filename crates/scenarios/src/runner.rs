@@ -114,10 +114,8 @@ pub struct Scenario {
     /// scenarios; the scale-out scenarios use it to load the event core
     /// with ~100k flows. Fluid plane only.
     pub elastic: Option<crate::elastic::ElasticSpec>,
-    /// Controller solver knobs (exhaustive-vs-greedy cutoff, incremental
-    /// vs full-recompute water-fill). The default is the framework's
-    /// default; both solve modes produce bit-identical decisions, so
-    /// the solve mode only moves *how* the same answer is computed.
+    /// Controller solver knobs (the exhaustive-vs-greedy cutoff). The
+    /// default is the framework's default.
     pub optimizer: OptimizerConfig,
     /// Fluid or packet plane.
     pub plane: PlaneMode,
